@@ -10,10 +10,8 @@ against the standard reference curves.
 from .counting import (
     catalan,
     count_matchings,
-    coth_series_coefficients,
     genus_distribution,
     harer_zagier,
-    pmf,
 )
 from .mapcore import (
     AdjacencyMatrix,
@@ -37,7 +35,6 @@ from .samplers import (
 from .spectra import Spectrum, eigenvalues_symmetric
 from .stats import (
     HistogramDensity,
-    ReferenceDensity,
     bulk_spacings,
     empirical_density,
     exponential_cdf,
@@ -50,7 +47,6 @@ from .stats import (
     mckay_density,
     mean_jth_spacing,
     pooled_bulk_spacings,
-    reference_density,
     spacing_distribution,
 )
 from .topology import (
@@ -70,14 +66,12 @@ __all__ = [
     "FilteredSample",
     "Gluing",
     "HistogramDensity",
-    "ReferenceDensity",
     "RngStream",
     "Spectrum",
     "build_adjacency",
     "bulk_spacings",
     "catalan",
     "closed_walk_counts",
-    "coth_series_coefficients",
     "count_matchings",
     "degree_distribution",
     "empirical_density",
@@ -99,10 +93,8 @@ __all__ = [
     "l1_histogram_distance",
     "mckay_density",
     "mean_jth_spacing",
-    "pmf",
     "pooled_bulk_spacings",
     "read_records",
-    "reference_density",
     "sample_genus_filtered",
     "sample_ncpp",
     "sample_uniform_gluing",

@@ -2,13 +2,15 @@
 
 Subcommands: generate, count, table, spectrum, density, spacings, meanjth,
 genus, degrees, walks, enumerate.  Exit codes: 0 success, 2 validation
-error, 3 sampling budget exhausted, 4 I/O error.
+error, 3 sampling budget exhausted, 4 I/O error.  A reader that closes
+standard output early (``| head``) ends the command quietly with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from dataclasses import dataclass
 
@@ -42,18 +44,13 @@ class ExperimentConfig:
     master_seed: int
     target_genus: int | None = None
     budget: int = 10_000
-    bulk_fraction: float = stats.DEFAULT_BULK_FRACTION
-    bins: int = stats.DEFAULT_BINS
     output_path: str | None = None
-    format: str = "csv"
 
     def validate(self) -> None:
         if self.samples < 1:
             raise OutOfRangeError("need --samples >= 1")
         if self.n < 1:
             raise OutOfRangeError("need --n >= 1")
-        if not 0.0 < self.bulk_fraction <= 1.0:
-            raise OutOfRangeError("--bulk-fraction must lie in (0, 1]")
         if self.sampler == "genus-filtered":
             if self.target_genus is None:
                 raise OutOfRangeError("--genus is required with --sampler genus-filtered")
@@ -317,7 +314,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader has gone; the interpreter's exit flush of the unwritten
+        # rest of stdout would raise again, so let it go to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

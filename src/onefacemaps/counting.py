@@ -1,36 +1,29 @@
-"""Exact combinatorics of gluings: Catalan numbers, the pairing pmf, and
-genus counts.
+"""Exact combinatorics of gluings: Catalan numbers and genus counts.
 
-Everything here is integer or rational arithmetic with no rounding.  The
-genus count for n-edge one-face maps is
+Everything here is integer arithmetic.  The number ε_g(n) of genus-g
+one-face maps with n edges follows the Harer–Zagier recurrence
+(Harer and Zagier, Invent. Math. 85, 1986)
 
-    count(g, n) = (2n)! / ((n+1)! (n-2g)!) * [x^(2g)] ((x/2)/tanh(x/2))^(n+1)
+    (n+1) ε_g(n) = 2(2n-1) ε_g(n-1) + (n-1)(2n-1)(2n-3) ε_{g-1}(n-2)
 
-and the coefficient is extracted from an exact truncated power series.
-The series for (x/2)/tanh(x/2) is obtained by dividing the cosh Taylor
-series by the sinh one, which avoids importing a Bernoulli-number table.
+from ε_0(0) = 1.  Every division by n+1 is checked to be exact, so a
+wrong term raises instead of rounding.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 from .errors import OutOfRangeError
-
-# Catalan cache, grown on demand via C_k = (4k-2) C_{k-1} / (k+1).  Safe
-# for concurrent reads once warm; grow it from a single thread.
-_CATALAN: list[int] = [1]
 
 
 def catalan(n: int) -> int:
     """n-th Catalan number (2n choose n)/(n+1); counts non-crossing pairings."""
     if n < 0:
         raise OutOfRangeError("catalan is defined for n >= 0")
-    while len(_CATALAN) <= n:
-        k = len(_CATALAN)
-        _CATALAN.append((4 * k - 2) * _CATALAN[k - 1] // (k + 1))
-    return _CATALAN[n]
+    return math.comb(2 * n, n) // (n + 1)
 
 
 def count_matchings(n: int) -> int:
@@ -40,57 +33,35 @@ def count_matchings(n: int) -> int:
     return math.prod(range(1, 2 * n, 2))
 
 
-def pmf(m: int, n: int) -> Fraction:
-    """Probability that the first node of a size-2n non-crossing pairing
-    is paired with node 2m: C_{m-1} C_{n-m} / C_n, exactly."""
-    if not 1 <= m <= n:
-        raise OutOfRangeError(f"need 1 <= m <= n, got m={m}, n={n}")
-    return Fraction(catalan(m - 1) * catalan(n - m), catalan(n))
+def _harer_zagier_rows(g_max: int) -> Iterator[list[int]]:
+    """Rows [ε_0(m), ..., ε_h(m)] with h = min(m // 2, g_max), for m = 0, 1, 2, ...
 
-
-def coth_series_coefficients(num_terms: int) -> list[Fraction]:
-    """Coefficients of x^0, x^2, ..., x^(2(num_terms-1)) in (x/2)/tanh(x/2).
-
-    Computed as cosh(x/2) divided by sinh(x/2)/(x/2), both expanded in
-    u = x^2 and divided as truncated series.  Leading terms are
-    1 + x^2/12 - x^4/720 + ...
+    Column g of a row needs only columns g and g-1 of the two rows before
+    it, so cutting the rows at g_max loses nothing below it, and only the
+    last two rows are kept.
     """
-    if num_terms < 1:
-        raise OutOfRangeError("need at least one term")
-    # cosh(x/2):   u^k coefficient 1 / (4^k (2k)!)
-    # sinh(x/2)/(x/2): u^k coefficient 1 / (4^k (2k+1)!)
-    cosh = [Fraction(1, 4**k * math.factorial(2 * k)) for k in range(num_terms)]
-    sinh = [Fraction(1, 4**k * math.factorial(2 * k + 1)) for k in range(num_terms)]
-    out: list[Fraction] = []
-    for k in range(num_terms):
-        acc = cosh[k] - sum(sinh[j] * out[k - j] for j in range(1, k + 1))
-        out.append(acc / sinh[0])
-    return out
+    before, last = [], [1]  # rows m-2 and m-1, starting from m = 1
+    m = 0
+    while True:
+        yield last
+        m += 1
+        same_genus = 2 * (2 * m - 1)
+        one_genus_down = (m - 1) * (2 * m - 1) * (2 * m - 3)
+        last_padded = last + [0]  # ε_{m/2}(m-1) = 0 when m is even
+        row = []
+        for g in range(min(m // 2, g_max) + 1):
+            total = same_genus * last_padded[g]
+            if g:
+                total += one_genus_down * before[g - 1]
+            value, remainder = divmod(total, m + 1)
+            if remainder:
+                raise ArithmeticError(f"Harer-Zagier division not exact at g={g}, n={m}")
+            row.append(value)
+        before, last = last, row
 
 
-def _series_multiply(a: list[Fraction], b: list[Fraction], num_terms: int) -> list[Fraction]:
-    out = [Fraction(0)] * num_terms
-    for i, ai in enumerate(a):
-        if i >= num_terms:
-            break
-        for j, bj in enumerate(b):
-            if i + j >= num_terms:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def _series_power(base: list[Fraction], exponent: int, num_terms: int) -> list[Fraction]:
-    result = [Fraction(1)] + [Fraction(0)] * (num_terms - 1)
-    acc = list(base[:num_terms])
-    e = exponent
-    while e:
-        if e & 1:
-            result = _series_multiply(result, acc, num_terms)
-        e >>= 1
-        if e:
-            acc = _series_multiply(acc, acc, num_terms)
-    return result
+def _harer_zagier_row(n: int, g_max: int) -> list[int]:
+    return next(islice(_harer_zagier_rows(g_max), n, None))
 
 
 def harer_zagier(g: int, n: int) -> int:
@@ -99,13 +70,7 @@ def harer_zagier(g: int, n: int) -> int:
         raise OutOfRangeError("need n >= 1")
     if g < 0 or 2 * g > n:
         raise OutOfRangeError(f"need 0 <= 2g <= n, got g={g}, n={n}")
-    num_terms = g + 1
-    series = _series_power(coth_series_coefficients(num_terms), n + 1, num_terms)
-    factor = Fraction(math.factorial(2 * n), math.factorial(n + 1) * math.factorial(n - 2 * g))
-    value = factor * series[g]
-    if value.denominator != 1 or value < 0:
-        raise ArithmeticError(f"genus count came out non-integral: {value}")
-    return int(value)
+    return _harer_zagier_row(n, g)[g]
 
 
 def genus_distribution(n: int) -> list[int]:
@@ -115,16 +80,4 @@ def genus_distribution(n: int) -> list[int]:
     """
     if n < 1:
         raise OutOfRangeError("need n >= 1")
-    num_terms = n // 2 + 1
-    # One series power, all coefficients at once; cheaper than per-genus calls.
-    series = _series_power(coth_series_coefficients(num_terms), n + 1, num_terms)
-    out = []
-    for g in range(num_terms):
-        factor = Fraction(
-            math.factorial(2 * n), math.factorial(n + 1) * math.factorial(n - 2 * g)
-        )
-        value = factor * series[g]
-        if value.denominator != 1 or value < 0:
-            raise ArithmeticError(f"genus count came out non-integral: {value}")
-        out.append(int(value))
-    return out
+    return _harer_zagier_row(n, n // 2)

@@ -81,21 +81,18 @@ def gluing_from_permutation(perm: Sequence[int]) -> Gluing:
     ``partner(i) = perm^-1(t(perm(i)))`` with t(2k-1) = 2k.  ``perm`` is
     given as the 1-based image sequence: perm(i) = perm[i - 1].
     """
-    two_n = len(perm)
-    if two_n % 2 != 0 or two_n == 0:
+    perm = np.asarray(perm, dtype=np.int64)
+    two_n = perm.size
+    if perm.ndim != 1 or two_n % 2 != 0 or two_n == 0:
         raise BadLengthError(f"permutation length must be even and positive, got {two_n}")
-    inverse = [0] * (two_n + 1)
-    for i, v in enumerate(perm, start=1):
-        v = int(v)
-        if not 1 <= v <= two_n or inverse[v]:
-            raise NotAPermutationError(f"input is not a bijection on 1..{two_n}")
-        inverse[v] = i
-    partner = [0] * two_n
-    for i, v in enumerate(perm, start=1):
-        v = int(v)
-        t = v + 1 if v % 2 else v - 1
-        partner[i - 1] = inverse[t]
-    return Gluing(n=two_n // 2, partner=tuple(partner))
+    # for a permutation, inverse[v - 1] is the 0-based label that perm sends to v
+    inverse = np.argsort(perm)
+    if not np.array_equal(perm[inverse], np.arange(1, two_n + 1)):
+        raise NotAPermutationError(f"input is not a bijection on 1..{two_n}")
+    partner = np.empty(two_n, dtype=np.int64)
+    partner[inverse[0::2]] = inverse[1::2] + 1
+    partner[inverse[1::2]] = inverse[0::2] + 1
+    return Gluing(n=two_n // 2, partner=tuple(partner.tolist()))
 
 
 def build_adjacency(g: Gluing) -> AdjacencyMatrix:

@@ -2,24 +2,23 @@
 
 Uniform gluings are drawn by pushing a uniform random permutation through
 the standard-matching conjugation (every matching has 2^n n! permutation
-preimages, so the pushforward is uniform).  Non-crossing gluings are drawn
-block by block: the first free node of a block of 2k nodes is paired with
-the 2m-th node of the block, m drawn from the exact pmf
-C_{m-1} C_{k-m} / C_k, and the inside/outside sub-blocks are processed the
-same way.  Every non-crossing pairing then comes out with probability
-exactly 1/C_n.
+preimages, so the pushforward is uniform).  Non-crossing gluings come from
+the cycle lemma (Dvoretzky and Motzkin, Duke Math. J. 14, 1947): of the
+2n+1 rotations of a sequence of n up-steps and n+1 down-steps exactly one
+stays at or above its start until its final step, so rotating a uniform
+arrangement gives a uniform Dyck path, whose matched steps are a uniform
+non-crossing pairing.  Both use integers only; every non-crossing pairing
+comes out with probability exactly 1/C_n.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from . import topology
-from .counting import catalan
 from .errors import BudgetExhaustedError, OutOfRangeError, TooLargeError
 from .mapcore import Gluing, gluing_from_permutation
 
@@ -66,23 +65,27 @@ def sample_uniform_gluing(n: int, rng) -> Gluing:
     return gluing_from_permutation(perm)
 
 
-# block half-length -> cumulative pmf table (floats, last entry pinned to 1.0)
-_PMF_CDF: dict[int, list[float]] = {}
+def _noncrossing_partner(up: np.ndarray) -> np.ndarray:
+    """Non-crossing partner table (1-based) from an arrangement of n
+    up-steps (True) and n+1 down-steps (False).
 
-
-def _pmf_cdf(k: int) -> list[float]:
-    table = _PMF_CDF.get(k)
-    if table is None:
-        c_k = catalan(k)
-        acc = 0.0
-        table = []
-        for m in range(1, k + 1):
-            # exact big-integer ratio, correctly rounded to float
-            acc += (catalan(m - 1) * catalan(k - m)) / c_k
-            table.append(acc)
-        table[-1] = 1.0  # residual round-off mass goes to m = k
-        _PMF_CDF[k] = table
-    return table
+    The rotation starting just after the first minimum of the prefix sums
+    is the one the cycle lemma singles out; without its final down-step it
+    is a Dyck path.  Each up-step is glued to the down-step that returns
+    to its level: sorted stably by the lower level of each step, the steps
+    of one level alternate up, down, so consecutive entries pair off.  Each
+    of the C_n pairings is the image of exactly 2n+1 arrangements.
+    """
+    steps = np.where(up, 1, -1)
+    start = int(np.argmin(np.cumsum(steps))) + 1
+    path = np.roll(steps, -start)[:-1]
+    heights = np.cumsum(path)
+    order = np.argsort(np.where(path > 0, heights - 1, heights), kind="stable")
+    opens, closes = order[0::2], order[1::2]
+    partner = np.empty(path.size, dtype=np.int64)
+    partner[opens] = closes + 1
+    partner[closes] = opens + 1
+    return partner
 
 
 def sample_ncpp(n: int, rng) -> Gluing:
@@ -90,24 +93,8 @@ def sample_ncpp(n: int, rng) -> Gluing:
     if n < 1:
         raise OutOfRangeError("need n >= 1")
     gen = _as_generator(rng)
-    uniforms = gen.random(n)
-    draw = 0
-    partner = [0] * (2 * n)
-    # explicit work stack of (first label, half-length) blocks; recursion
-    # would overflow at n ~ 10^4
-    stack = [(1, n)]
-    while stack:
-        first, k = stack.pop()
-        if k == 0:
-            continue
-        m = bisect_right(_pmf_cdf(k), uniforms[draw]) + 1
-        draw += 1
-        mate = first + 2 * m - 1
-        partner[first - 1] = mate
-        partner[mate - 1] = first
-        stack.append((first + 1, m - 1))  # inside the new pair
-        stack.append((mate + 1, k - m))  # outside it
-    return Gluing(n=n, partner=tuple(partner))
+    up = gen.permutation(2 * n + 1) < n  # n up-steps at uniform positions
+    return Gluing(n=n, partner=tuple(_noncrossing_partner(up).tolist()))
 
 
 def enumerate_all_gluings(n: int) -> Iterator[Gluing]:

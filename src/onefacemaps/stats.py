@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import integrate, signal
 
 from .errors import (
     DegenerateSpectrumError,
@@ -47,15 +46,6 @@ class HistogramDensity:
     @property
     def bin_widths(self) -> np.ndarray:
         return np.diff(self.bin_edges)
-
-
-@dataclass(frozen=True)
-class ReferenceDensity:
-    """A named reference pdf with its cdf, both vectorized."""
-
-    name: str
-    pdf: Callable[[np.ndarray], np.ndarray]
-    cdf: Callable[[np.ndarray], np.ndarray]
 
 
 def mckay_density(x, k: int = 3):
@@ -95,34 +85,6 @@ def exponential_cdf(s):
     s = np.asarray(s, dtype=np.float64)
     out = np.where(s >= 0.0, -np.expm1(-np.clip(s, 0.0, None)), 0.0)
     return out if out.ndim else float(out)
-
-
-def reference_density(name: str, k: int = 3) -> ReferenceDensity:
-    """Look up a reference curve: 'mckay', 'goe_surmise' or 'exponential'."""
-    if name in ("mckay", "mckay_k"):
-        edge = 2.0 * np.sqrt(k - 1.0)
-
-        def pdf(x):
-            return mckay_density(x, k=k)
-
-        def cdf(x):
-            xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-            out = np.empty_like(xs)
-            for i, xi in enumerate(xs):
-                if xi <= -edge:
-                    out[i] = 0.0
-                elif xi >= edge:
-                    out[i] = 1.0
-                else:
-                    out[i], _ = integrate.quad(pdf, -edge, xi)
-            return out if np.ndim(x) else float(out[0])
-
-        return ReferenceDensity(name="mckay", pdf=pdf, cdf=cdf)
-    if name == "goe_surmise":
-        return ReferenceDensity(name=name, pdf=goe_surmise_density, cdf=goe_surmise_cdf)
-    if name == "exponential":
-        return ReferenceDensity(name=name, pdf=exponential_density, cdf=exponential_cdf)
-    raise ValueError(f"unknown reference density {name!r}")
 
 
 def _pooled_histogram(
@@ -224,5 +186,7 @@ def l1_histogram_distance(h: HistogramDensity, pdf: Callable) -> float:
 def find_peaks(h: HistogramDensity, min_prominence: float) -> np.ndarray:
     """Bin centers of interior local maxima with at least the given
     prominence, ascending.  Boundary bins are never peaks."""
+    from scipy import signal  # deferred: importing the package loads no scipy
+
     idx, _ = signal.find_peaks(h.densities, prominence=min_prominence)
     return h.bin_centers[idx]

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter, deque
 
 import numpy as np
-from scipy import sparse
 
 from .errors import OutOfRangeError, ParityViolationError
 from .mapcore import AdjacencyMatrix, Gluing, validate_gluing
@@ -122,6 +121,8 @@ def closed_walk_counts(a: AdjacencyMatrix, r_max: int) -> list[int]:
         raise OutOfRangeError(
             f"r_max = {r_max} exceeds the exact-arithmetic cap {MAX_WALK_LENGTH}"
         )
+    from scipy import sparse  # deferred: importing the package loads no scipy
+
     dense = np.asarray(a, dtype=np.int64)
     step = sparse.csr_matrix(dense)
     power = dense

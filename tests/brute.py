@@ -1,13 +1,17 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here is deliberately written with different algorithms than the
-package: interleave checks are quadratic pair-vs-pair scans, and the map
+package: interleave checks are quadratic pair-vs-pair scans, the map
 vertex count walks the opposite orientation (whose orbit permutation is
-the inverse of the production one, so the cycle count must agree).
+the inverse of the production one, so the cycle count must agree), and
+genus counts come from the Harer-Zagier generating function as an exact
+rational power series, not from the package's recurrence.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Iterator
 
 
@@ -67,3 +71,40 @@ def genus_reverse(partner: tuple[int, ...]) -> int:
     v = map_vertex_count_reverse(partner)
     assert (n + 1 - v) % 2 == 0
     return (n + 1 - v) // 2
+
+
+def coth_series(num_terms: int) -> list[Fraction]:
+    """Coefficients of x^0, x^2, ..., x^(2(num_terms-1)) in (x/2)/tanh(x/2).
+
+    cosh(x/2) divided by sinh(x/2)/(x/2), both expanded in u = x^2 and
+    divided as truncated series; leading terms 1 + x^2/12 - x^4/720.
+    """
+    cosh = [Fraction(1, 4**k * math.factorial(2 * k)) for k in range(num_terms)]
+    sinh = [Fraction(1, 4**k * math.factorial(2 * k + 1)) for k in range(num_terms)]
+    out: list[Fraction] = []
+    for k in range(num_terms):
+        out.append(cosh[k] - sum(sinh[j] * out[k - j] for j in range(1, k + 1)))
+    return out
+
+
+def genus_counts_by_series(n: int, g_max: int) -> list[int]:
+    """Genus counts g = 0..g_max of n-edge one-face maps from
+
+        (2n)! / ((n+1)! (n-2g)!) * [x^(2g)] ((x/2)/tanh(x/2))^(n+1),
+
+    the power taken by the J. C. P. Miller recurrence for f^p with
+    f(0) = 1: k b_k = sum_j ((p+1) j - k) a_j b_(k-j).
+    """
+    a = coth_series(g_max + 1)
+    p = n + 1
+    b = [Fraction(1)]
+    for k in range(1, g_max + 1):
+        b.append(sum(((p + 1) * j - k) * a[j] * b[k - j] for j in range(1, k + 1)) / k)
+    counts = []
+    for g in range(g_max + 1):
+        value = b[g] * Fraction(
+            math.factorial(2 * n), math.factorial(n + 1) * math.factorial(n - 2 * g)
+        )
+        assert value.denominator == 1 and value >= 0
+        counts.append(int(value))
+    return counts

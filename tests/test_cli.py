@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import onefacemaps
 from onefacemaps import cli, read_records
 from onefacemaps.stats import mckay_density
 
@@ -118,6 +124,7 @@ def test_spacings_csv(small_ensemble, tmp_path):
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "bin_center,density,goe_surmise,exponential"
     assert len(rows) == 31
+    assert run("spacings", small_ensemble, "--bulk-fraction", 1.5, "--out", out) == 2
 
 
 def test_meanjth_csv(small_ensemble, tmp_path):
@@ -175,3 +182,34 @@ def test_corrupt_ensemble_is_validation_error(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"n": 2, "partner": [1, 2')
     assert run("genus", bad, "--out", tmp_path / "o.csv") == 2
+
+
+def _fresh_interpreter(*args, **popen):
+    src = str(Path(onefacemaps.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.Popen([sys.executable, *args], env=env, **popen)
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    ensemble = tmp_path / "big.jsonl"
+    # 200 maps of 100 eigenvalues each: far more CSV than a pipe buffer holds
+    assert run("generate", "--sampler", "uniform", "--n", 50, "--samples", 200,
+               "--seed", 0, "--out", ensemble) == 0
+    with _fresh_interpreter("-m", "onefacemaps.cli", "spectrum", str(ensemble),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert len(first.split(b",")) == 100
+    assert err == b""
+    assert code == 0
+
+
+def test_import_loads_no_scipy():
+    check = "import sys, onefacemaps; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    with _fresh_interpreter("-c", check, stdout=subprocess.PIPE) as proc:
+        out, _ = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert out.decode().strip() == "[]"

@@ -8,11 +8,9 @@ import sympy
 import brute
 from onefacemaps import (
     catalan,
-    coth_series_coefficients,
     count_matchings,
     genus_distribution,
     harer_zagier,
-    pmf,
 )
 from onefacemaps.errors import OutOfRangeError
 
@@ -42,37 +40,8 @@ def test_count_matchings_double_factorial():
     assert [count_matchings(n) for n in range(6)] == [1, 1, 3, 15, 105, 945]
 
 
-def test_pmf_values():
-    assert pmf(1, 1) == 1
-    assert pmf(1, 2) == Fraction(1, 2)
-    assert pmf(2, 2) == Fraction(1, 2)
-    assert pmf(1, 3) == Fraction(2, 5)
-    assert pmf(2, 3) == Fraction(1, 5)
-    assert pmf(3, 3) == Fraction(2, 5)
-
-
-def test_pmf_sums_to_one_exactly():
-    for n in range(1, 65):
-        assert sum(pmf(m, n) for m in range(1, n + 1)) == 1
-
-
-def test_pmf_ratio_recursion_in_n():
-    # pmf(m,n) = (n+1)(2n-2m-1) / ((n-m+1)(2n-1)) * pmf(m,n-1), for m < n
-    for n in range(2, 65):
-        for m in range(1, n):
-            ratio = Fraction((n + 1) * (2 * n - 2 * m - 1), (n - m + 1) * (2 * n - 1))
-            assert pmf(m, n) == ratio * pmf(m, n - 1)
-
-
-def test_pmf_out_of_range():
-    with pytest.raises(OutOfRangeError):
-        pmf(0, 3)
-    with pytest.raises(OutOfRangeError):
-        pmf(4, 3)
-
-
 def test_series_leading_coefficients():
-    coeffs = coth_series_coefficients(3)
+    coeffs = brute.coth_series(3)
     assert coeffs[0] == 1
     assert coeffs[1] == Fraction(1, 12)
     assert coeffs[2] == Fraction(-1, 720)
@@ -81,10 +50,19 @@ def test_series_leading_coefficients():
 def test_series_against_sympy():
     x = sympy.Symbol("x")
     expansion = sympy.series((x / 2) / sympy.tanh(x / 2), x, 0, 14).removeO()
-    coeffs = coth_series_coefficients(7)
+    coeffs = brute.coth_series(7)
     for k in range(7):
         expected = expansion.coeff(x, 2 * k)
         assert coeffs[k] == Fraction(int(sympy.numer(expected)), int(sympy.denom(expected)))
+
+
+def test_genus_distribution_matches_series_oracle():
+    for n in range(1, 40):
+        assert genus_distribution(n) == brute.genus_counts_by_series(n, n // 2)
+
+
+def test_harer_zagier_matches_series_oracle_at_mode():
+    assert harer_zagier(147, 300) == brute.genus_counts_by_series(300, 147)[147]
 
 
 def test_harer_zagier_genus_zero_is_catalan():

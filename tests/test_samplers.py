@@ -1,5 +1,8 @@
+import itertools
+import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
@@ -17,6 +20,7 @@ from onefacemaps import (
     validate_gluing,
 )
 from onefacemaps.errors import BudgetExhaustedError, OutOfRangeError, TooLargeError
+from onefacemaps.samplers import _noncrossing_partner
 
 
 def test_rng_stream_is_deterministic():
@@ -79,6 +83,20 @@ def test_ncpp_outputs_are_noncrossing_genus_zero(n):
         validate_gluing(g)
         assert is_noncrossing(g)
         assert genus(g) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_cycle_lemma_map_hits_each_pairing_2n_plus_1_times(n):
+    counts = Counter()
+    for ups in itertools.combinations(range(2 * n + 1), n):
+        up = np.zeros(2 * n + 1, dtype=bool)
+        up[list(ups)] = True
+        counts[tuple(_noncrossing_partner(up).tolist())] += 1
+    assert sum(counts.values()) == math.comb(2 * n + 1, n)
+    noncrossing = {p for p in brute.all_matchings(n) if brute.crossing_free(p)}
+    assert len(noncrossing) == catalan(n)
+    assert set(counts) == noncrossing
+    assert set(counts.values()) == {2 * n + 1}
 
 
 @pytest.mark.parametrize("n,draws", [(4, 14_000), (5, 21_000), (6, 13_200)])

@@ -24,7 +24,6 @@ from onefacemaps import (
     l1_histogram_distance,
     mckay_density,
     mean_jth_spacing,
-    reference_density,
     sample_ncpp,
     sample_uniform_gluing,
     spacing_distribution,
@@ -76,17 +75,6 @@ def test_spacing_references_integrate_to_one_with_mean_one():
 
 def test_exponential_cdf_closed_form():
     assert exponential_cdf(1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
-
-
-def test_reference_density_lookup():
-    mck = reference_density("mckay", k=3)
-    assert mck.cdf(0.0) == pytest.approx(0.5, abs=1e-8)
-    assert mck.cdf(3.0) == 1.0
-    assert mck.cdf(-3.0) == 0.0
-    sur = reference_density("goe_surmise")
-    assert sur.cdf(10.0) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        reference_density("gue")
 
 
 def test_empirical_density_hand_count():
