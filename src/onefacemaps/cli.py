@@ -192,13 +192,11 @@ def cmd_genus(args) -> int:
     with _open_out(args.out) as fh:
         if args.format == "json":
             for rec in records:
-                fh.write(
-                    f'{{"sample_index":{rec.sample_index},"genus":{topology.genus(rec.gluing)}}}\n'
-                )
+                fh.write(f'{{"sample_index":{rec.sample_index},"genus":{rec.genus}}}\n')
         else:
             fh.write("sample_index,genus\n")
             for rec in records:
-                fh.write(f"{rec.sample_index},{topology.genus(rec.gluing)}\n")
+                fh.write(f"{rec.sample_index},{rec.genus}\n")
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     BadLengthError,
     FixedPointError,
+    GluingError,
     NotAPermutationError,
     NotInvolutionError,
     ParseError,
@@ -95,6 +96,31 @@ def gluing_from_permutation(perm: Sequence[int]) -> Gluing:
     return Gluing(n=two_n // 2, partner=tuple(partner.tolist()))
 
 
+def _parity_blocks_vanish(a: AdjacencyMatrix) -> bool:
+    """True iff no entry joins two labels of the same parity.
+
+    Then the rows and columns split into odd and even labels, and ``a`` is
+    ``[[0, B], [B^T, 0]]`` after that permutation, with the biadjacency
+    ``B = a[0::2, 1::2]``.
+    """
+    return not (a[0::2, 0::2].any() or a[1::2, 1::2].any())
+
+
+def _vertex_count(partner: tuple[int, ...]) -> int:
+    """Number of orbits of i -> partner(i+1 mod 2n), the map vertices."""
+    two_n = len(partner)
+    seen = bytearray(two_n)
+    count = 0
+    for start in range(1, two_n + 1):
+        if not seen[start - 1]:
+            count += 1
+            i = start
+            while not seen[i - 1]:
+                seen[i - 1] = 1
+                i = partner[i % two_n]
+    return count
+
+
 def build_adjacency(g: Gluing) -> AdjacencyMatrix:
     """Adjacency matrix of the 2n-cycle plus the glued matching.
 
@@ -164,9 +190,34 @@ def write_records(path, records: Iterable[EnsembleRecord]) -> None:
         path.write(rec.to_json() + "\n")
 
 
+def _checked_record(line: str, line_no: int) -> EnsembleRecord:
+    rec = EnsembleRecord.from_json(line)
+    try:
+        validate_gluing(rec.gluing)
+    except GluingError as exc:
+        raise ParseError(f"record on line {line_no}: {exc}") from exc
+    # Euler's formula for one face: 2g = n + 1 - V
+    handles_twice = rec.n + 1 - _vertex_count(rec.gluing.partner)
+    if 2 * rec.genus != handles_twice:
+        raise ParseError(
+            f"record on line {line_no} stores genus {rec.genus}, "
+            f"its gluing has genus {handles_twice // 2}"
+        )
+    return rec
+
+
 def read_records(path) -> list[EnsembleRecord]:
-    """Read a JSON-lines ensemble file; raises ParseError on bad lines."""
+    """Read a JSON-lines ensemble file.
+
+    Raises ParseError naming the line of the first record that does not
+    parse, whose gluing is invalid (including ``n`` not matching the
+    partner table), or whose stored genus differs from its gluing's.
+    """
     if isinstance(path, (str, Path)):
         with open(path, "r", encoding="utf-8") as fh:
             return read_records(fh)
-    return [EnsembleRecord.from_json(line) for line in path if line.strip()]
+    return [
+        _checked_record(line, line_no)
+        for line_no, line in enumerate(path, start=1)
+        if line.strip()
+    ]

@@ -1,8 +1,16 @@
 """Full spectra of map adjacency matrices.
 
 The whole ascending spectrum is needed downstream (density and spacing
-statistics), so this is a dense symmetric solve, delegated to LAPACK via
-numpy.  Desk-scale matrices (up to a few thousand vertices) are cheap.
+statistics), so every eigenvalue is computed, by LAPACK via numpy, on one
+of two paths chosen from the matrix itself:
+
+* bipartite: when no entry joins two indices of the same parity (every
+  genus-zero map, and any gluing whose pairs all join odd to even labels),
+  the matrix is ``[[0, B], [B^T, 0]]`` after a parity permutation and its
+  spectrum is exactly the singular values of the n x n biadjacency ``B``
+  and their negatives (Golub-Kahan), so an SVD of the half-size ``B``
+  replaces the full solve.
+* dense: otherwise, a symmetric eigensolve of the whole 2n x 2n matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergenceError
-from .mapcore import AdjacencyMatrix
+from .mapcore import AdjacencyMatrix, _parity_blocks_vanish
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,8 +39,12 @@ class Spectrum:
 
 
 def eigenvalues_symmetric(a: AdjacencyMatrix) -> Spectrum:
-    """All eigenvalues of a symmetric matrix, ascending.
+    """All eigenvalues of a symmetric matrix of even size, ascending.
 
+    If both parity blocks ``a[0::2, 0::2]`` and ``a[1::2, 1::2]`` are zero,
+    the values are ``-s`` and ``s`` for the singular values ``s`` of
+    ``a[0::2, 1::2]``, symmetric about zero by construction and with no
+    ``-0.0``; otherwise they come from a dense symmetric eigensolve.
     Deterministic for a fixed input on one platform.
     """
     a = np.asarray(a)
@@ -43,7 +55,11 @@ def eigenvalues_symmetric(a: AdjacencyMatrix) -> Spectrum:
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
     try:
-        values = np.linalg.eigvalsh(a.astype(np.float64))
+        if _parity_blocks_vanish(a):
+            s = np.linalg.svd(a[0::2, 1::2].astype(np.float64), compute_uv=False)
+            values = np.concatenate((-s, s[::-1])) + 0.0  # ascending; -0.0 becomes 0.0
+        else:
+            values = np.linalg.eigvalsh(a.astype(np.float64))
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
     values.setflags(write=False)

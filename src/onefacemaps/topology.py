@@ -8,12 +8,18 @@ gives genus (N + 1 - V) / 2.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 
 import numpy as np
 
 from .errors import OutOfRangeError, ParityViolationError
-from .mapcore import AdjacencyMatrix, Gluing, validate_gluing
+from .mapcore import (
+    AdjacencyMatrix,
+    Gluing,
+    _parity_blocks_vanish,
+    _vertex_count,
+    validate_gluing,
+)
 
 # entries of A^r are bounded by 3^r; int64 is exact up to this cap
 MAX_WALK_LENGTH = 20
@@ -43,20 +49,6 @@ def vertex_cycles(g: Gluing) -> list[tuple[int, ...]]:
     return cycles
 
 
-def _vertex_count(partner: tuple[int, ...]) -> int:
-    two_n = len(partner)
-    seen = bytearray(two_n)
-    count = 0
-    for start in range(1, two_n + 1):
-        if not seen[start - 1]:
-            count += 1
-            i = start
-            while not seen[i - 1]:
-                seen[i - 1] = 1
-                i = partner[i % two_n]
-    return count
-
-
 def genus(g: Gluing) -> int:
     """Genus of the glued surface: (n + 1 - V) / 2 with V map vertices."""
     validate_gluing(g)
@@ -80,24 +72,23 @@ def is_noncrossing(g: Gluing) -> bool:
 
 
 def is_bipartite(a: AdjacencyMatrix) -> bool:
-    """True iff the (multi)graph admits a 2-coloring."""
+    """True iff the graph of a map adjacency matrix admits a 2-coloring.
+
+    ``a`` must be square of even size 2n and contain the spanning cycle
+    0-1-...-(2n-1)-0 of every map graph; otherwise ValueError.  That even
+    cycle forces the coloring by label parity, so the graph is bipartite
+    exactly when no entry joins two labels of the same parity: one
+    vectorised O(n^2) scan.
+    """
     a = np.asarray(a)
-    size = a.shape[0]
-    color = np.full(size, -1, dtype=np.int8)
-    for root in range(size):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in np.flatnonzero(a[v]):
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0:
+        raise ValueError(f"expected a square matrix of even size, got shape {a.shape}")
+    two_n = a.shape[0]
+    idx = np.arange(two_n)
+    succ = (idx + 1) % two_n
+    if not (a[idx, succ].all() and a[succ, idx].all()):
+        raise ValueError("matrix lacks the spanning cycle of a map graph")
+    return _parity_blocks_vanish(a)
 
 
 def degree_distribution(g: Gluing) -> dict[int, int]:

@@ -5,14 +5,19 @@ package: interleave checks are quadratic pair-vs-pair scans, the map
 vertex count walks the opposite orientation (whose orbit permutation is
 the inverse of the production one, so the cycle count must agree), and
 genus counts come from the Harer-Zagier generating function as an exact
-rational power series, not from the package's recurrence.
+rational power series, not from the package's recurrence, spectra come
+from a dense symmetric eigensolve of the whole matrix, and bipartiteness
+from a breadth-first 2-coloring that assumes nothing about the graph.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from typing import Iterator
+
+import numpy as np
 
 
 def all_matchings(n: int) -> Iterator[tuple[int, ...]]:
@@ -108,3 +113,28 @@ def genus_counts_by_series(n: int, g_max: int) -> list[int]:
         assert value.denominator == 1 and value >= 0
         counts.append(int(value))
     return counts
+
+
+def dense_spectrum(a) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, ascending, by a dense solve."""
+    return np.linalg.eigvalsh(np.asarray(a, dtype=np.float64))
+
+
+def bipartite_by_bfs(a) -> bool:
+    """True iff the graph with adjacency ``a`` has a 2-coloring, by BFS."""
+    a = np.asarray(a)
+    color = np.full(a.shape[0], -1, dtype=np.int8)
+    for root in range(a.shape[0]):
+        if color[root] != -1:
+            continue
+        color[root] = 0
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in np.flatnonzero(a[v]):
+                if color[w] == -1:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return False
+    return True

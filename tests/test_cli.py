@@ -184,6 +184,15 @@ def test_corrupt_ensemble_is_validation_error(tmp_path):
     assert run("genus", bad, "--out", tmp_path / "o.csv") == 2
 
 
+def test_wrong_stored_genus_is_validation_error(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"n":2,"partner":[3,4,1,2],"genus":0,"seed":0,"sample_index":0}\n')
+    out = tmp_path / "o.csv"
+    assert run("spectrum", bad, "--out", out) == 2
+    assert "line 1 stores genus 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _fresh_interpreter(*args, **popen):
     src = str(Path(onefacemaps.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from collections import Counter
 
@@ -151,3 +152,26 @@ def test_record_parse_error():
         EnsembleRecord.from_json('{"n": 2, "partner": [3, 4, 1]}')
     with pytest.raises(ParseError):
         EnsembleRecord.from_json("not json")
+
+
+def _write_lines(path, *objs):
+    path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+
+
+def test_read_records_rejects_wrong_stored_genus(tmp_path):
+    path = tmp_path / "ens.jsonl"
+    good = {"n": 2, "partner": [2, 1, 4, 3], "genus": 0, "seed": 7, "sample_index": 0}
+    torus = {"n": 2, "partner": [3, 4, 1, 2], "genus": 0, "seed": 7, "sample_index": 1}
+    _write_lines(path, good, torus)
+    with pytest.raises(ParseError, match="line 2 stores genus 0, its gluing has genus 1"):
+        read_records(path)
+    _write_lines(path, good, {**torus, "genus": 1})
+    assert [r.genus for r in read_records(path)] == [0, 1]
+
+
+def test_read_records_rejects_invalid_gluings(tmp_path):
+    path = tmp_path / "ens.jsonl"
+    for partner, n in (([2, 1, 4, 3], 3), ([1, 2], 1), ([2, 3, 1, 4], 2)):
+        _write_lines(path, {"n": n, "partner": partner, "genus": 0, "seed": 0, "sample_index": 0})
+        with pytest.raises(ParseError, match="line 1"):
+            read_records(path)

@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
 
+import brute
 from onefacemaps import (
     Gluing,
     RngStream,
     build_adjacency,
     closed_walk_counts,
     eigenvalues_symmetric,
+    genus,
     sample_ncpp,
     sample_uniform_gluing,
 )
+
+
+def _assert_matches_dense(a):
+    values = eigenvalues_symmetric(a).values
+    assert np.max(np.abs(values - brute.dense_spectrum(a))) <= 1e-10
+    assert not np.any(np.signbit(values) & (values == 0.0))  # no -0.0
 
 
 def test_k4_spectrum():
@@ -19,8 +27,9 @@ def test_k4_spectrum():
 
 
 def test_two_gon_spectrum():
-    s = eigenvalues_symmetric(build_adjacency(Gluing.from_partner([2, 1])))
-    assert np.allclose(s.values, [-3.0, 3.0], atol=1e-12)
+    a = build_adjacency(Gluing.from_partner([2, 1]))
+    assert eigenvalues_symmetric(a).values.tolist() == [-3.0, 3.0]
+    _assert_matches_dense(a)
 
 
 def test_spectrum_invariants_on_random_maps():
@@ -47,11 +56,27 @@ def test_moments_match_closed_walks():
             assert abs(moment - walks[r - 1]) <= 1e-6 * max(abs(walks[r - 1]), 1)
 
 
-def test_bipartite_symmetry_for_noncrossing_maps():
+def test_noncrossing_spectra_match_dense_solve():
     gen = RngStream(23).generator()
     for n in (5, 60, 200):
-        s = eigenvalues_symmetric(build_adjacency(sample_ncpp(n, gen)))
-        assert np.all(np.abs(s.values + s.values[::-1]) <= 1e-8)
+        _assert_matches_dense(build_adjacency(sample_ncpp(n, gen)))
+
+
+def test_crossing_bipartite_gluing_matches_dense_solve():
+    g = Gluing.from_partner([4, 5, 6, 1, 2, 3])  # genus 1, every pair odd-even
+    assert genus(g) == 1
+    _assert_matches_dense(build_adjacency(g))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_small_gluing_matches_dense_solve(n):
+    for partner in brute.all_matchings(n):
+        _assert_matches_dense(build_adjacency(Gluing.from_partner(partner)))
+
+
+def test_zero_singular_values_give_no_negative_zero():
+    # the zero matrix has zero parity blocks, so it takes the bipartite path
+    _assert_matches_dense(np.zeros((4, 4), dtype=np.int64))
 
 
 def test_determinism_bitwise():

@@ -89,6 +89,28 @@ def test_is_bipartite_examples():
     assert is_bipartite(build_adjacency(TWOGON))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_is_bipartite_agrees_with_bfs_oracle_exhaustively(n):
+    for partner in brute.all_matchings(n):
+        a = build_adjacency(Gluing.from_partner(partner))
+        assert is_bipartite(a) == brute.bipartite_by_bfs(a)
+
+
+def test_is_bipartite_agrees_with_bfs_oracle_on_large_maps():
+    gen = RngStream(4).generator()
+    for draw in (sample_uniform_gluing, sample_ncpp):
+        for _ in range(20):
+            a = build_adjacency(draw(100, gen))
+            assert is_bipartite(a) == brute.bipartite_by_bfs(a)
+
+
+def test_is_bipartite_rejects_matrices_without_the_spanning_cycle():
+    with pytest.raises(ValueError):
+        is_bipartite(np.zeros((4, 4), dtype=np.int64))
+    with pytest.raises(ValueError):
+        is_bipartite(np.zeros((3, 3), dtype=np.int64))
+
+
 def test_noncrossing_graphs_are_bipartite():
     gen = RngStream(3).generator()
     for _ in range(20):
