@@ -21,6 +21,7 @@ from .mapcore import (
     gluing_from_permutation,
     read_records,
     validate_gluing,
+    vertex_cycles,
     write_records,
 )
 from .samplers import (
@@ -55,7 +56,6 @@ from .topology import (
     genus,
     is_bipartite,
     is_noncrossing,
-    vertex_cycles,
 )
 
 __version__ = "0.1.0"

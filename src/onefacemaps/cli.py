@@ -12,7 +12,7 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from . import counting, samplers, stats, topology
 from .errors import (
@@ -24,38 +24,14 @@ from .errors import (
     ParseError,
     TooLargeError,
 )
-from .mapcore import EnsembleRecord, build_adjacency, read_records, write_records
+from .mapcore import EnsembleRecord, Gluing, build_adjacency, read_records, write_records
 from .samplers import RngStream
-from .spectra import eigenvalues_symmetric
+from .spectra import Spectrum, eigenvalues_symmetric
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
-
-
-@dataclass
-class ExperimentConfig:
-    """Validated knobs for one generation run."""
-
-    n: int
-    samples: int
-    sampler: str
-    master_seed: int
-    target_genus: int | None = None
-    budget: int = 10_000
-    output_path: str | None = None
-
-    def validate(self) -> None:
-        if self.samples < 1:
-            raise OutOfRangeError("need --samples >= 1")
-        if self.n < 1:
-            raise OutOfRangeError("need --n >= 1")
-        if self.sampler == "genus-filtered":
-            if self.target_genus is None:
-                raise OutOfRangeError("--genus is required with --sampler genus-filtered")
-        elif self.target_genus is not None:
-            raise OutOfRangeError("--genus only applies to --sampler genus-filtered")
 
 
 def _fmt(x: float) -> str:
@@ -71,48 +47,52 @@ def _open_out(path: str | None):
             yield fh
 
 
-def _records_to_spectra(records: list[EnsembleRecord]):
-    return [eigenvalues_symmetric(build_adjacency(rec.gluing)) for rec in records]
+def _write_ensemble(path: str | None, gluings: Iterable[Gluing], seed: int) -> None:
+    records = (
+        EnsembleRecord(gluing=g, genus=topology.genus(g), seed=seed, sample_index=i)
+        for i, g in enumerate(gluings)
+    )
+    with _open_out(path) as fh:
+        write_records(fh, records)
+
+
+def _spectra(records: list[EnsembleRecord]) -> Iterator[Spectrum]:
+    for rec in records:
+        yield eigenvalues_symmetric(build_adjacency(rec.gluing))
+
+
+def _write_table(
+    path: str | None, fmt: str, columns: tuple[str, ...], rows: Iterable[tuple]
+) -> None:
+    """Rows of ints and ``_fmt`` strings as CSV with a header, or as one
+    JSON object per line."""
+    with _open_out(path) as fh:
+        if fmt == "csv":
+            fh.write(",".join(columns) + "\n")
+        for row in rows:
+            if fmt == "json":
+                fh.write("{" + ",".join(f'"{c}":{v}' for c, v in zip(columns, row)) + "}\n")
+            else:
+                fh.write(",".join(str(v) for v in row) + "\n")
 
 
 def cmd_generate(args) -> int:
-    config = ExperimentConfig(
-        n=args.n,
-        samples=args.samples,
-        sampler=args.sampler,
-        master_seed=args.seed,
-        target_genus=args.genus,
-        budget=args.budget,
-        output_path=args.out,
-    )
-    config.validate()
-    records = []
-    if config.sampler == "genus-filtered":
-        result = samplers.sample_genus_filtered(
-            config.n,
-            config.target_genus,
-            config.budget,
-            RngStream(config.master_seed, 0),
-            num_samples=config.samples,
-        )
-        gluings = result.gluings
+    if args.samples < 1:
+        raise OutOfRangeError("need --samples >= 1")
+    if args.n < 1:
+        raise OutOfRangeError("need --n >= 1")
+    if args.sampler == "genus-filtered":
+        if args.genus is None:
+            raise OutOfRangeError("--genus is required with --sampler genus-filtered")
+        gluings = samplers.sample_genus_filtered(
+            args.n, args.genus, args.budget, RngStream(args.seed, 0), num_samples=args.samples
+        ).gluings
+    elif args.genus is not None:
+        raise OutOfRangeError("--genus only applies to --sampler genus-filtered")
     else:
-        draw = (
-            samplers.sample_uniform_gluing
-            if config.sampler == "uniform"
-            else samplers.sample_ncpp
-        )
-        gluings = [
-            draw(config.n, RngStream(config.master_seed, i)) for i in range(config.samples)
-        ]
-    for i, g in enumerate(gluings):
-        records.append(
-            EnsembleRecord(
-                gluing=g, genus=topology.genus(g), seed=config.master_seed, sample_index=i
-            )
-        )
-    with _open_out(config.output_path) as fh:
-        write_records(fh, records)
+        draw = samplers.sample_uniform_gluing if args.sampler == "uniform" else samplers.sample_ncpp
+        gluings = [draw(args.n, RngStream(args.seed, i)) for i in range(args.samples)]
+    _write_ensemble(args.out, gluings, args.seed)
     return EXIT_OK
 
 
@@ -120,10 +100,7 @@ def cmd_enumerate(args) -> int:
     stream = (
         samplers.enumerate_ncpp(args.n) if args.kind == "ncpp" else samplers.enumerate_all_gluings(args.n)
     )
-    with _open_out(args.out) as fh:
-        for i, g in enumerate(stream):
-            rec = EnsembleRecord(gluing=g, genus=topology.genus(g), seed=0, sample_index=i)
-            fh.write(rec.to_json() + "\n")
+    _write_ensemble(args.out, stream, 0)
     return EXIT_OK
 
 
@@ -145,16 +122,13 @@ def cmd_spectrum(args) -> int:
     if not records:
         raise EmptyEnsembleError("ensemble file has no records")
     with _open_out(args.out) as fh:
-        for rec in records:
-            spectrum = eigenvalues_symmetric(build_adjacency(rec.gluing))
+        for spectrum in _spectra(records):
             fh.write(",".join(_fmt(v) for v in spectrum.values) + "\n")
     return EXIT_OK
 
 
 def cmd_density(args) -> int:
-    records = read_records(args.ensemble)
-    spectra = _records_to_spectra(records)
-    hist = stats.empirical_density(spectra, bins=args.bins)
+    hist = stats.empirical_density(_spectra(read_records(args.ensemble)), bins=args.bins)
     mckay = stats.mckay_density(hist.bin_centers, k=3)
     with _open_out(args.out) as fh:
         fh.write("bin_center,density,mckay\n")
@@ -164,9 +138,9 @@ def cmd_density(args) -> int:
 
 
 def cmd_spacings(args) -> int:
-    records = read_records(args.ensemble)
-    spectra = _records_to_spectra(records)
-    hist = stats.spacing_distribution(spectra, bulk_fraction=args.bulk_fraction, bins=args.bins)
+    hist = stats.spacing_distribution(
+        _spectra(read_records(args.ensemble)), bulk_fraction=args.bulk_fraction, bins=args.bins
+    )
     surmise = stats.goe_surmise_density(hist.bin_centers)
     expo = stats.exponential_density(hist.bin_centers)
     with _open_out(args.out) as fh:
@@ -177,9 +151,7 @@ def cmd_spacings(args) -> int:
 
 
 def cmd_meanjth(args) -> int:
-    records = read_records(args.ensemble)
-    spectra = _records_to_spectra(records)
-    means = stats.mean_jth_spacing(spectra)
+    means = stats.mean_jth_spacing(_spectra(read_records(args.ensemble)))
     with _open_out(args.out) as fh:
         fh.write("j,mean_spacing\n")
         for j, value in enumerate(means, start=1):
@@ -188,15 +160,8 @@ def cmd_meanjth(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    records = read_records(args.ensemble)
-    with _open_out(args.out) as fh:
-        if args.format == "json":
-            for rec in records:
-                fh.write(f'{{"sample_index":{rec.sample_index},"genus":{rec.genus}}}\n')
-        else:
-            fh.write("sample_index,genus\n")
-            for rec in records:
-                fh.write(f"{rec.sample_index},{rec.genus}\n")
+    rows = ((rec.sample_index, rec.genus) for rec in read_records(args.ensemble))
+    _write_table(args.out, args.format, ("sample_index", "genus"), rows)
     return EXIT_OK
 
 
@@ -208,16 +173,8 @@ def cmd_degrees(args) -> int:
     for rec in records:
         for degree, count in topology.degree_distribution(rec.gluing).items():
             totals[degree] = totals.get(degree, 0) + count
-    with _open_out(args.out) as fh:
-        if args.format == "json":
-            for degree in sorted(totals):
-                fh.write(
-                    f'{{"degree":{degree},"mean_count":{_fmt(totals[degree] / len(records))}}}\n'
-                )
-        else:
-            fh.write("degree,mean_count\n")
-            for degree in sorted(totals):
-                fh.write(f"{degree},{_fmt(totals[degree] / len(records))}\n")
+    rows = ((degree, _fmt(totals[degree] / len(records))) for degree in sorted(totals))
+    _write_table(args.out, args.format, ("degree", "mean_count"), rows)
     return EXIT_OK
 
 

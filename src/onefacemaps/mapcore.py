@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     BadLengthError,
     FixedPointError,
-    GluingError,
     NotAPermutationError,
     NotInvolutionError,
     ParseError,
@@ -36,24 +35,20 @@ class Gluing:
     """Fixed-point-free involution on the labels 1..2n.
 
     ``partner[i - 1]`` is the label glued to label ``i``.  Instances are
-    immutable and hashable; construct via :meth:`from_partner` or one of
-    the samplers, and check invariants with :func:`validate_gluing`.
+    immutable and hashable, and are checked with :func:`validate_gluing`
+    when they are built, so every ``Gluing`` that exists is valid.
     """
 
     n: int
     partner: tuple[int, ...]
 
+    def __post_init__(self):
+        validate_gluing(self)
+
     @classmethod
     def from_partner(cls, partner: Sequence[int]) -> "Gluing":
         partner = tuple(int(p) for p in partner)
         return cls(n=len(partner) // 2, partner=partner)
-
-    def partner_of(self, label: int) -> int:
-        return self.partner[label - 1]
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """The n glued pairs as (low, high) tuples in ascending order."""
-        return [(i, p) for i, p in enumerate(self.partner, start=1) if i < p]
 
 
 def validate_gluing(g: Gluing) -> None:
@@ -106,19 +101,27 @@ def _parity_blocks_vanish(a: AdjacencyMatrix) -> bool:
     return not (a[0::2, 0::2].any() or a[1::2, 1::2].any())
 
 
-def _vertex_count(partner: tuple[int, ...]) -> int:
-    """Number of orbits of i -> partner(i+1 mod 2n), the map vertices."""
+def vertex_cycles(g: Gluing) -> list[tuple[int, ...]]:
+    """Orbits of i -> partner(i+1 mod 2n); each orbit is one map vertex.
+
+    Cycles are reported in order of their smallest label, each starting at
+    that label.
+    """
+    partner = g.partner
     two_n = len(partner)
     seen = bytearray(two_n)
-    count = 0
+    cycles = []
     for start in range(1, two_n + 1):
-        if not seen[start - 1]:
-            count += 1
-            i = start
-            while not seen[i - 1]:
-                seen[i - 1] = 1
-                i = partner[i % two_n]
-    return count
+        if seen[start - 1]:
+            continue
+        cycle = []
+        i = start
+        while not seen[i - 1]:
+            seen[i - 1] = 1
+            cycle.append(i)
+            i = partner[i % two_n]
+        cycles.append(tuple(cycle))
+    return cycles
 
 
 def build_adjacency(g: Gluing) -> AdjacencyMatrix:
@@ -128,7 +131,6 @@ def build_adjacency(g: Gluing) -> AdjacencyMatrix:
     yields entry 2 (and the degenerate n=1 map yields a single entry 3).
     Rows always sum to exactly 3.
     """
-    validate_gluing(g)
     two_n = 2 * g.n
     a = np.zeros((two_n, two_n), dtype=np.int64)
     idx = np.arange(two_n)
@@ -167,17 +169,36 @@ class EnsembleRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "EnsembleRecord":
+        """Parse one record.
+
+        ``n``, ``genus``, ``seed``, ``sample_index`` and every entry of the
+        list ``partner`` must be JSON integers; anything else, or an
+        invalid gluing, raises ParseError.
+        """
         try:
             obj = json.loads(line)
-            gluing = Gluing(n=int(obj["n"]), partner=tuple(int(p) for p in obj["partner"]))
+            partner = obj["partner"]
+            if not isinstance(partner, list):
+                raise ParseError(f"partner must be a JSON list, got {json.dumps(partner)}")
+            gluing = Gluing(
+                n=_json_int(obj["n"], "n"),
+                partner=tuple(_json_int(p, "partner entry") for p in partner),
+            )
             return cls(
                 gluing=gluing,
-                genus=int(obj["genus"]),
-                seed=int(obj["seed"]),
-                sample_index=int(obj["sample_index"]),
+                genus=_json_int(obj["genus"], "genus"),
+                seed=_json_int(obj["seed"], "seed"),
+                sample_index=_json_int(obj["sample_index"], "sample_index"),
             )
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad ensemble record: {exc}") from exc
+
+
+def _json_int(value, field: str) -> int:
+    # bool is an int subclass, and int() would also take "2", 2.9 or true
+    if type(value) is not int:
+        raise ParseError(f"{field} must be a JSON integer, got {json.dumps(value)}")
+    return value
 
 
 def write_records(path, records: Iterable[EnsembleRecord]) -> None:
@@ -191,13 +212,12 @@ def write_records(path, records: Iterable[EnsembleRecord]) -> None:
 
 
 def _checked_record(line: str, line_no: int) -> EnsembleRecord:
-    rec = EnsembleRecord.from_json(line)
     try:
-        validate_gluing(rec.gluing)
-    except GluingError as exc:
+        rec = EnsembleRecord.from_json(line)
+    except ParseError as exc:
         raise ParseError(f"record on line {line_no}: {exc}") from exc
     # Euler's formula for one face: 2g = n + 1 - V
-    handles_twice = rec.n + 1 - _vertex_count(rec.gluing.partner)
+    handles_twice = rec.n + 1 - len(vertex_cycles(rec.gluing))
     if 2 * rec.genus != handles_twice:
         raise ParseError(
             f"record on line {line_no} stores genus {rec.genus}, "
@@ -210,8 +230,9 @@ def read_records(path) -> list[EnsembleRecord]:
     """Read a JSON-lines ensemble file.
 
     Raises ParseError naming the line of the first record that does not
-    parse, whose gluing is invalid (including ``n`` not matching the
-    partner table), or whose stored genus differs from its gluing's.
+    parse, has a field that is not a JSON integer, has an invalid gluing
+    (including ``n`` not matching the partner table), or stores a genus
+    that differs from its gluing's.
     """
     if isinstance(path, (str, Path)):
         with open(path, "r", encoding="utf-8") as fh:

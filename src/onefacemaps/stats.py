@@ -88,31 +88,27 @@ def exponential_cdf(s):
 
 
 def _pooled_histogram(
-    values: np.ndarray, bins: int, support: tuple[float, float], sample_count: int
+    values: np.ndarray, bins: int, support: tuple[float, float]
 ) -> HistogramDensity:
     counts, edges = np.histogram(values, bins=bins, range=support)
     in_range = counts.sum()
     if in_range == 0:
         raise EmptyEnsembleError("no values fall inside the histogram support")
     densities = counts / (in_range * np.diff(edges))
-    return HistogramDensity(bin_edges=edges, densities=densities, sample_count=sample_count)
+    return HistogramDensity(bin_edges=edges, densities=densities, sample_count=values.size)
 
 
-def empirical_density(
-    spectra: Iterable[Spectrum],
-    bins: int = DEFAULT_BINS,
-    support: tuple[float, float] = DENSITY_SUPPORT,
-) -> HistogramDensity:
+def empirical_density(spectra: Iterable[Spectrum], bins: int = DEFAULT_BINS) -> HistogramDensity:
     """Area-normalized histogram of all eigenvalues pooled over an ensemble."""
     spectra = list(spectra)
     if not spectra:
         raise EmptyEnsembleError("empty ensemble")
     values = np.concatenate([np.asarray(s.values, dtype=np.float64) for s in spectra])
     # snap round-off dust at the spectral edges back into range
-    lo, hi = support
+    lo, hi = DENSITY_SUPPORT
     values[(values < lo) & (values >= lo - _EDGE_SNAP)] = lo
     values[(values > hi) & (values <= hi + _EDGE_SNAP)] = hi
-    return _pooled_histogram(values, bins, support, sample_count=values.size)
+    return _pooled_histogram(values, bins, DENSITY_SUPPORT)
 
 
 def bulk_spacings(spectrum: Spectrum, bulk_fraction: float = DEFAULT_BULK_FRACTION) -> np.ndarray:
@@ -135,14 +131,9 @@ def spacing_distribution(
     spectra: Iterable[Spectrum],
     bulk_fraction: float = DEFAULT_BULK_FRACTION,
     bins: int = DEFAULT_BINS,
-    support: tuple[float, float] = SPACING_SUPPORT,
 ) -> HistogramDensity:
-    """Pooled per-graph scaled bulk spacings, area-normalized."""
-    spectra = list(spectra)
-    if not spectra:
-        raise EmptyEnsembleError("empty ensemble")
-    pooled = np.concatenate([bulk_spacings(s, bulk_fraction) for s in spectra])
-    return _pooled_histogram(pooled, bins, support, sample_count=pooled.size)
+    """Histogram of :func:`pooled_bulk_spacings`, area-normalized."""
+    return _pooled_histogram(pooled_bulk_spacings(spectra, bulk_fraction), bins, SPACING_SUPPORT)
 
 
 def pooled_bulk_spacings(

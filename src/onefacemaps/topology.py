@@ -3,7 +3,9 @@
 The glued surface's embedded graph has one vertex per orbit of the
 permutation "step to the next polygon label, then jump across the
 gluing".  With V such orbits, F = 1 face and E = N edges, Euler's formula
-gives genus (N + 1 - V) / 2.
+gives genus (N + 1 - V) / 2.  The orbit walker ``vertex_cycles`` lives
+in ``mapcore``, whose record check on read uses it too, and is re-exported
+here.
 """
 
 from __future__ import annotations
@@ -13,47 +15,15 @@ from collections import Counter
 import numpy as np
 
 from .errors import OutOfRangeError, ParityViolationError
-from .mapcore import (
-    AdjacencyMatrix,
-    Gluing,
-    _parity_blocks_vanish,
-    _vertex_count,
-    validate_gluing,
-)
+from .mapcore import AdjacencyMatrix, Gluing, _parity_blocks_vanish, vertex_cycles
 
 # entries of A^r are bounded by 3^r; int64 is exact up to this cap
 MAX_WALK_LENGTH = 20
 
 
-def vertex_cycles(g: Gluing) -> list[tuple[int, ...]]:
-    """Orbits of i -> partner(i+1 mod 2n); each orbit is one map vertex.
-
-    Cycles are reported in order of their smallest label, each starting at
-    that label.
-    """
-    validate_gluing(g)
-    partner = g.partner
-    two_n = len(partner)
-    seen = bytearray(two_n)
-    cycles = []
-    for start in range(1, two_n + 1):
-        if seen[start - 1]:
-            continue
-        cycle = []
-        i = start
-        while not seen[i - 1]:
-            seen[i - 1] = 1
-            cycle.append(i)
-            i = partner[i % two_n]
-        cycles.append(tuple(cycle))
-    return cycles
-
-
 def genus(g: Gluing) -> int:
     """Genus of the glued surface: (n + 1 - V) / 2 with V map vertices."""
-    validate_gluing(g)
-    v = _vertex_count(g.partner)
-    handles_twice = g.n + 1 - v
+    handles_twice = g.n + 1 - len(vertex_cycles(g))
     if handles_twice % 2 != 0:
         raise ParityViolationError(f"n + 1 - V = {handles_twice} is odd (internal bug)")
     return handles_twice // 2
@@ -61,7 +31,6 @@ def genus(g: Gluing) -> int:
 
 def is_noncrossing(g: Gluing) -> bool:
     """True iff no two glued pairs interleave as a < c < b < d."""
-    validate_gluing(g)
     stack: list[int] = []
     for i, p in enumerate(g.partner, start=1):
         if p > i:

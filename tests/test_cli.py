@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -57,6 +58,10 @@ def test_generate_validation_exit_code(tmp_path):
     code = run("generate", "--sampler", "uniform", "--n", 10, "--samples", 1,
                "--genus", 2, "--seed", 0, "--out", tmp_path / "y.jsonl")
     assert code == 2  # --genus without genus-filtered
+    code = run("generate", "--n", 10, "--samples", 0, "--seed", 0, "--out", tmp_path / "z.jsonl")
+    assert code == 2  # no samples
+    code = run("generate", "--n", 0, "--samples", 1, "--seed", 0, "--out", tmp_path / "z.jsonl")
+    assert code == 2  # no edges
 
 
 def test_count_and_table(capsys):
@@ -136,6 +141,15 @@ def test_meanjth_csv(small_ensemble, tmp_path):
     assert rows[1].startswith("1,")
 
 
+def _assert_json_lines_match_csv(csv_path, json_path):
+    header, *rows = csv_path.read_text().strip().splitlines()
+    objs = [json.loads(line) for line in json_path.read_text().strip().splitlines()]
+    assert len(objs) == len(rows)
+    for obj, row in zip(objs, rows):
+        assert list(obj) == header.split(",")
+        assert list(obj.values()) == [json.loads(v) for v in row.split(",")]
+
+
 def test_genus_csv_and_json(small_ensemble, tmp_path):
     out = tmp_path / "genus.csv"
     assert run("genus", small_ensemble, "--out", out) == 0
@@ -145,6 +159,7 @@ def test_genus_csv_and_json(small_ensemble, tmp_path):
     out_json = tmp_path / "genus.jsonl"
     assert run("genus", small_ensemble, "--format", "json", "--out", out_json) == 0
     assert out_json.read_text().count('"genus"') == 8
+    _assert_json_lines_match_csv(out, out_json)
 
 
 def test_degrees_csv(small_ensemble, tmp_path):
@@ -153,6 +168,9 @@ def test_degrees_csv(small_ensemble, tmp_path):
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "degree,mean_count"
     assert len(rows) > 1
+    out_json = tmp_path / "degrees.jsonl"
+    assert run("degrees", small_ensemble, "--format", "json", "--out", out_json) == 0
+    _assert_json_lines_match_csv(out, out_json)
 
 
 def test_walks_csv(small_ensemble, tmp_path):
@@ -182,6 +200,14 @@ def test_corrupt_ensemble_is_validation_error(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"n": 2, "partner": [1, 2')
     assert run("genus", bad, "--out", tmp_path / "o.csv") == 2
+
+
+def test_record_field_that_is_not_an_integer_is_validation_error(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"n":2,"partner":[2,1,4,3],"genus":0,"seed":0,"sample_index":0}\n'
+                   '{"n":2,"partner":"2143","genus":0,"seed":0,"sample_index":1}\n')
+    assert run("genus", bad, "--out", tmp_path / "o.csv") == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_wrong_stored_genus_is_validation_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -33,33 +34,40 @@ def test_smallest_gluing_is_valid():
 
 def test_identity_partner_has_fixed_point():
     with pytest.raises(FixedPointError):
-        validate_gluing(Gluing.from_partner([1, 2]))
+        Gluing.from_partner([1, 2])
 
 
 def test_odd_length_rejected():
     with pytest.raises(BadLengthError):
-        validate_gluing(Gluing(n=1, partner=(2, 3, 1)))
+        Gluing(n=1, partner=(2, 3, 1))
 
 
 def test_declared_size_mismatch_rejected():
     with pytest.raises(BadLengthError):
-        validate_gluing(Gluing(n=3, partner=(2, 1, 4, 3)))
+        Gluing(n=3, partner=(2, 1, 4, 3))
 
 
 def test_non_involution_rejected():
     with pytest.raises(NotInvolutionError):
-        validate_gluing(Gluing.from_partner([2, 3, 4, 1]))
+        Gluing.from_partner([2, 3, 4, 1])
 
 
 def test_out_of_range_label_rejected():
     with pytest.raises(NotInvolutionError):
-        validate_gluing(Gluing.from_partner([5, 1, 4, 3]))
+        Gluing.from_partner([5, 1, 4, 3])
 
 
-def test_pairs_listing():
-    g = Gluing.from_partner([3, 4, 1, 2])
-    assert g.pairs() == [(1, 3), (2, 4)]
-    assert g.partner_of(2) == 4
+def test_empty_partner_rejected():
+    with pytest.raises(BadLengthError):
+        Gluing.from_partner([])
+
+
+def test_replace_with_invalid_partner_rejected():
+    g = Gluing.from_partner([2, 1, 4, 3])
+    with pytest.raises(NotInvolutionError):
+        dataclasses.replace(g, partner=(2, 3, 4, 1))
+    with pytest.raises(BadLengthError):
+        dataclasses.replace(g, n=3)
 
 
 def test_identity_permutation_gives_standard_matching():
@@ -175,3 +183,33 @@ def test_read_records_rejects_invalid_gluings(tmp_path):
         _write_lines(path, {"n": n, "partner": partner, "genus": 0, "seed": 0, "sample_index": 0})
         with pytest.raises(ParseError, match="line 1"):
             read_records(path)
+
+
+GOOD_RECORD = {"n": 2, "partner": [2, 1, 4, 3], "genus": 0, "seed": 7, "sample_index": 0}
+
+
+def test_read_records_names_the_line_that_does_not_parse(tmp_path):
+    path = tmp_path / "ens.jsonl"
+    _write_lines(path, GOOD_RECORD)
+    with path.open("a") as fh:
+        fh.write("not json\n")
+    with pytest.raises(ParseError, match="line 2"):
+        read_records(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("partner", "2143"),
+        ("partner", [2.9, 1.5, 4.2, 3.99]),
+        ("seed", True),
+        ("sample_index", 0.7),
+        ("n", 2.0),
+        ("genus", False),
+    ],
+)
+def test_read_records_rejects_fields_that_are_not_json_integers(tmp_path, field, value):
+    path = tmp_path / "ens.jsonl"
+    _write_lines(path, GOOD_RECORD, {**GOOD_RECORD, field: value})
+    with pytest.raises(ParseError, match="line 2"):
+        read_records(path)
