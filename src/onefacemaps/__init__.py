@@ -40,7 +40,6 @@ from .stats import (
     empirical_density,
     exponential_cdf,
     exponential_density,
-    find_peaks,
     goe_surmise_cdf,
     goe_surmise_density,
     ks_distance,
@@ -80,7 +79,6 @@ __all__ = [
     "eigenvalues_symmetric",
     "exponential_cdf",
     "exponential_density",
-    "find_peaks",
     "genus",
     "genus_distribution",
     "gluing_from_permutation",

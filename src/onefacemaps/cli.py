@@ -2,8 +2,9 @@
 
 Subcommands: generate, count, table, spectrum, density, spacings, meanjth,
 genus, degrees, walks, enumerate.  Exit codes: 0 success, 2 validation
-error, 3 sampling budget exhausted, 4 I/O error.  A reader that closes
-standard output early (``| head``) ends the command quietly with exit 0.
+error (an ensemble file with no records is one), 3 sampling budget
+exhausted, 4 I/O error.  A reader that closes standard output early
+(``| head``) ends the command quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -54,6 +55,13 @@ def _write_ensemble(path: str | None, gluings: Iterable[Gluing], seed: int) -> N
     )
     with _open_out(path) as fh:
         write_records(fh, records)
+
+
+def _read_ensemble(path: str) -> list[EnsembleRecord]:
+    records = read_records(path)
+    if not records:
+        raise EmptyEnsembleError("ensemble file has no records")
+    return records
 
 
 def _spectra(records: list[EnsembleRecord]) -> Iterator[Spectrum]:
@@ -118,9 +126,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    records = read_records(args.ensemble)
-    if not records:
-        raise EmptyEnsembleError("ensemble file has no records")
+    records = _read_ensemble(args.ensemble)
     with _open_out(args.out) as fh:
         for spectrum in _spectra(records):
             fh.write(",".join(_fmt(v) for v in spectrum.values) + "\n")
@@ -128,7 +134,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_density(args) -> int:
-    hist = stats.empirical_density(_spectra(read_records(args.ensemble)), bins=args.bins)
+    hist = stats.empirical_density(_spectra(_read_ensemble(args.ensemble)), bins=args.bins)
     mckay = stats.mckay_density(hist.bin_centers, k=3)
     with _open_out(args.out) as fh:
         fh.write("bin_center,density,mckay\n")
@@ -139,7 +145,7 @@ def cmd_density(args) -> int:
 
 def cmd_spacings(args) -> int:
     hist = stats.spacing_distribution(
-        _spectra(read_records(args.ensemble)), bulk_fraction=args.bulk_fraction, bins=args.bins
+        _spectra(_read_ensemble(args.ensemble)), bulk_fraction=args.bulk_fraction, bins=args.bins
     )
     surmise = stats.goe_surmise_density(hist.bin_centers)
     expo = stats.exponential_density(hist.bin_centers)
@@ -151,7 +157,7 @@ def cmd_spacings(args) -> int:
 
 
 def cmd_meanjth(args) -> int:
-    means = stats.mean_jth_spacing(_spectra(read_records(args.ensemble)))
+    means = stats.mean_jth_spacing(_spectra(_read_ensemble(args.ensemble)))
     with _open_out(args.out) as fh:
         fh.write("j,mean_spacing\n")
         for j, value in enumerate(means, start=1):
@@ -160,15 +166,13 @@ def cmd_meanjth(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    rows = ((rec.sample_index, rec.genus) for rec in read_records(args.ensemble))
+    rows = ((rec.sample_index, rec.genus) for rec in _read_ensemble(args.ensemble))
     _write_table(args.out, args.format, ("sample_index", "genus"), rows)
     return EXIT_OK
 
 
 def cmd_degrees(args) -> int:
-    records = read_records(args.ensemble)
-    if not records:
-        raise EmptyEnsembleError("ensemble file has no records")
+    records = _read_ensemble(args.ensemble)
     totals: dict[int, int] = {}
     for rec in records:
         for degree, count in topology.degree_distribution(rec.gluing).items():
@@ -179,12 +183,12 @@ def cmd_degrees(args) -> int:
 
 
 def cmd_walks(args) -> int:
-    records = read_records(args.ensemble)
+    records = _read_ensemble(args.ensemble)
     with _open_out(args.out) as fh:
         header = ",".join(f"w{r}" for r in range(1, args.rmax + 1))
         fh.write(f"sample_index,{header}\n")
         for rec in records:
-            walks = topology.closed_walk_counts(build_adjacency(rec.gluing), args.rmax)
+            walks = topology.closed_walk_counts(rec.gluing, args.rmax)
             fh.write(f"{rec.sample_index}," + ",".join(str(w) for w in walks) + "\n")
     return EXIT_OK
 

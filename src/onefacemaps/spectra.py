@@ -45,7 +45,7 @@ def eigenvalues_symmetric(a: AdjacencyMatrix) -> Spectrum:
     the values are ``-s`` and ``s`` for the singular values ``s`` of
     ``a[0::2, 1::2]``, symmetric about zero by construction and with no
     ``-0.0``; otherwise they come from a dense symmetric eigensolve.
-    Deterministic for a fixed input on one platform.
+    Deterministic for a fixed input on one platform and BLAS thread count.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

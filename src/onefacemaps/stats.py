@@ -173,11 +173,3 @@ def l1_histogram_distance(h: HistogramDensity, pdf: Callable) -> float:
     ref = np.asarray(pdf(h.bin_centers), dtype=np.float64)
     return float(np.sum(np.abs(h.densities - ref) * h.bin_widths))
 
-
-def find_peaks(h: HistogramDensity, min_prominence: float) -> np.ndarray:
-    """Bin centers of interior local maxima with at least the given
-    prominence, ascending.  Boundary bins are never peaks."""
-    from scipy import signal  # deferred: importing the package loads no scipy
-
-    idx, _ = signal.find_peaks(h.densities, prominence=min_prominence)
-    return h.bin_centers[idx]

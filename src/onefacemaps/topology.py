@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 
 from .errors import OutOfRangeError, ParityViolationError
-from .mapcore import AdjacencyMatrix, Gluing, _parity_blocks_vanish, vertex_cycles
+from .mapcore import AdjacencyMatrix, Gluing, _parity_blocks_vanish, build_adjacency, vertex_cycles
 
 # entries of A^r are bounded by 3^r; int64 is exact up to this cap
 MAX_WALK_LENGTH = 20
@@ -70,10 +70,13 @@ def degree_distribution(g: Gluing) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-def closed_walk_counts(a: AdjacencyMatrix, r_max: int) -> list[int]:
+def closed_walk_counts(g: Gluing, r_max: int) -> list[int]:
     """Exact numbers of closed walks of lengths 1..r_max: trace(A^r).
 
-    Capped at r_max = 20 so the int64 matrix powers cannot overflow.
+    A is the 2n-cycle, its transpose and the glued matching, so row i of
+    A @ X is X[i - 1] + X[i + 1] + X[mate(i)]: each power is two row rolls
+    and a row gather in int64, with no matrix product.  Capped at
+    r_max = 20 so the int64 powers cannot overflow.
     """
     if r_max < 1:
         raise OutOfRangeError("need r_max >= 1")
@@ -81,13 +84,10 @@ def closed_walk_counts(a: AdjacencyMatrix, r_max: int) -> list[int]:
         raise OutOfRangeError(
             f"r_max = {r_max} exceeds the exact-arithmetic cap {MAX_WALK_LENGTH}"
         )
-    from scipy import sparse  # deferred: importing the package loads no scipy
-
-    dense = np.asarray(a, dtype=np.int64)
-    step = sparse.csr_matrix(dense)
-    power = dense
+    mate = np.asarray(g.partner, dtype=np.int64) - 1
+    power = build_adjacency(g)
     walks = [int(np.trace(power))]
     for _ in range(2, r_max + 1):
-        power = step @ power
+        power = np.roll(power, 1, 0) + np.roll(power, -1, 0) + power[mate]
         walks.append(int(np.trace(power)))
     return walks

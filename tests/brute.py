@@ -6,8 +6,9 @@ vertex count walks the opposite orientation (whose orbit permutation is
 the inverse of the production one, so the cycle count must agree), and
 genus counts come from the Harer-Zagier generating function as an exact
 rational power series, not from the package's recurrence, spectra come
-from a dense symmetric eigensolve of the whole matrix, and bipartiteness
-from a breadth-first 2-coloring that assumes nothing about the graph.
+from a dense symmetric eigensolve of the whole matrix, bipartiteness
+from a breadth-first 2-coloring that assumes nothing about the graph, and
+closed walks from matrix powers in Python integers.
 """
 
 from __future__ import annotations
@@ -118,6 +119,18 @@ def genus_counts_by_series(n: int, g_max: int) -> list[int]:
 def dense_spectrum(a) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending, by a dense solve."""
     return np.linalg.eigvalsh(np.asarray(a, dtype=np.float64))
+
+
+def closed_walks_by_matrix_power(a, r_max: int) -> list[int]:
+    """trace(A^r) for r = 1..r_max by repeated products of object-dtype
+    (Python integer) matrices, which cannot overflow."""
+    exact = np.array(a, dtype=object)
+    power = exact
+    walks = [int(np.trace(power))]
+    for _ in range(r_max - 1):
+        power = power @ exact
+        walks.append(int(np.trace(power)))
+    return walks
 
 
 def bipartite_by_bfs(a) -> bool:

@@ -242,9 +242,66 @@ def test_closed_stdout_ends_quietly(tmp_path):
     assert code == 0
 
 
-def test_import_loads_no_scipy():
-    check = "import sys, onefacemaps; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    with _fresh_interpreter("-c", check, stdout=subprocess.PIPE) as proc:
-        out, _ = proc.communicate(timeout=120)
-    assert proc.returncode == 0
-    assert out.decode().strip() == "[]"
+# every subcommand on a small ensemble: (output name, argv after the command)
+_EVERY_COMMAND = [
+    ("uni", ["generate", "--n", "10", "--samples", "4", "--seed", "5", "--out", "{d}/uni"]),
+    ("nc", ["generate", "--sampler", "ncpp", "--n", "10", "--samples", "4", "--seed", "5",
+            "--out", "{d}/nc"]),
+    ("filt", ["generate", "--sampler", "genus-filtered", "--n", "4", "--genus", "1",
+              "--samples", "3", "--seed", "5", "--out", "{d}/filt"]),
+    ("all", ["enumerate", "--n", "3", "--out", "{d}/all"]),
+    ("count", ["count", "1", "4"]),
+    ("table", ["table", "5"]),
+    ("spectrum", ["spectrum", "{d}/uni", "--out", "{d}/spectrum"]),
+    ("density", ["density", "{d}/uni", "--bins", "20", "--out", "{d}/density"]),
+    ("spacings", ["spacings", "{d}/nc", "--bins", "20", "--out", "{d}/spacings"]),
+    ("meanjth", ["meanjth", "{d}/nc", "--out", "{d}/meanjth"]),
+    ("genus", ["genus", "{d}/filt", "--out", "{d}/genus"]),
+    ("degrees", ["degrees", "{d}/nc", "--out", "{d}/degrees"]),
+    ("walks", ["walks", "{d}/uni", "--rmax", "20", "--out", "{d}/walks"]),
+]
+
+# Runs _EVERY_COMMAND in the directory argv[1], with scipy unimportable if
+# argv[2] is "block"; commands that print go to a file named after them.
+# Prints each exit code, then the scipy modules loaded.
+_RUN_EVERY_COMMAND = """
+import contextlib, json, sys
+if sys.argv[2] == "block":
+    sys.modules["scipy"] = None
+from onefacemaps import cli
+d = sys.argv[1]
+for name, argv in json.loads(sys.argv[3]):
+    with open(f"{d}/{name}.stdout", "w") as fh, contextlib.redirect_stdout(fh):
+        code = cli.main([a.format(d=d) for a in argv])
+    print(name, code)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m]))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    outputs = {}
+    for mode in ("block", "normal"):
+        d = tmp_path / mode
+        d.mkdir()
+        with _fresh_interpreter("-c", _RUN_EVERY_COMMAND, str(d), mode, json.dumps(_EVERY_COMMAND),
+                                stdout=subprocess.PIPE) as proc:
+            out, _ = proc.communicate(timeout=300)
+        assert proc.returncode == 0
+        *codes, loaded = out.decode().splitlines()
+        assert codes == [f"{name} 0" for name, _ in _EVERY_COMMAND]
+        assert loaded == "[]"  # the package loads no scipy, blocked or not
+        outputs[mode] = {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+    assert len(outputs["block"]) == 2 * len(_EVERY_COMMAND) - 2  # count, table: stdout only
+    assert outputs["block"] == outputs["normal"]
+
+
+@pytest.mark.parametrize(
+    "command", ["spectrum", "density", "spacings", "meanjth", "genus", "degrees", "walks"]
+)
+def test_empty_ensemble_is_validation_error(command, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert run(command, empty) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: ensemble file has no records\n"
+    assert captured.out == ""

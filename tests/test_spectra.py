@@ -48,9 +48,9 @@ def test_spectrum_invariants_on_random_maps():
 def test_moments_match_closed_walks():
     gen = RngStream(22).generator()
     for _ in range(5):
-        a = build_adjacency(sample_uniform_gluing(50, gen))
-        s = eigenvalues_symmetric(a)
-        walks = closed_walk_counts(a, 10)
+        g = sample_uniform_gluing(50, gen)
+        s = eigenvalues_symmetric(build_adjacency(g))
+        walks = closed_walk_counts(g, 10)
         for r in range(2, 11):
             moment = float(np.sum(s.values**r))
             assert abs(moment - walks[r - 1]) <= 1e-6 * max(abs(walks[r - 1]), 1)

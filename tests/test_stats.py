@@ -17,7 +17,6 @@ from onefacemaps import (
     empirical_density,
     exponential_cdf,
     exponential_density,
-    find_peaks,
     goe_surmise_cdf,
     goe_surmise_density,
     ks_distance,
@@ -210,16 +209,3 @@ def test_l1_distance_identical_histogram():
         sample_count=10,
     )
     assert l1_histogram_distance(h, lambda x: np.full_like(x, 0.5)) == 0.0
-
-
-def test_find_peaks_spike_and_monotone():
-    spike = HistogramDensity(
-        bin_edges=np.linspace(0, 3, 4), densities=np.array([0.0, 1.0, 0.0]), sample_count=1
-    )
-    assert find_peaks(spike, 0.1) == pytest.approx([1.5])
-    ramp = HistogramDensity(
-        bin_edges=np.linspace(0, 4, 5),
-        densities=np.array([0.0, 0.2, 0.4, 0.6]),
-        sample_count=1,
-    )
-    assert len(find_peaks(ramp, 0.0)) == 0
