@@ -5,99 +5,68 @@ compute their topology (genus, vertex degrees, bipartiteness, closed
 walks), take full spectra of the associated three-regular adjacency
 matrices, and compare empirical densities and spacing distributions
 against the standard reference curves.
+
+Every public name is loaded from its submodule on first use, so that
+importing the package, or the integer-only parts of it (``counting``,
+gluings, records, genus and degrees), does not import numpy.
 """
 
-from .counting import (
-    catalan,
-    count_matchings,
-    genus_distribution,
-    harer_zagier,
-)
-from .mapcore import (
-    AdjacencyMatrix,
-    EnsembleRecord,
-    Gluing,
-    build_adjacency,
-    gluing_from_permutation,
-    read_records,
-    validate_gluing,
-    vertex_cycles,
-    write_records,
-)
-from .samplers import (
-    FilteredSample,
-    RngStream,
-    enumerate_all_gluings,
-    enumerate_ncpp,
-    sample_genus_filtered,
-    sample_ncpp,
-    sample_uniform_gluing,
-)
-from .spectra import Spectrum, eigenvalues_symmetric
-from .stats import (
-    HistogramDensity,
-    bulk_spacings,
-    empirical_density,
-    exponential_cdf,
-    exponential_density,
-    goe_surmise_cdf,
-    goe_surmise_density,
-    ks_distance,
-    l1_histogram_distance,
-    mckay_density,
-    mean_jth_spacing,
-    pooled_bulk_spacings,
-    spacing_distribution,
-)
-from .topology import (
-    closed_walk_counts,
-    degree_distribution,
-    genus,
-    is_bipartite,
-    is_noncrossing,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjacencyMatrix",
-    "EnsembleRecord",
-    "FilteredSample",
-    "Gluing",
-    "HistogramDensity",
-    "RngStream",
-    "Spectrum",
-    "build_adjacency",
-    "bulk_spacings",
-    "catalan",
-    "closed_walk_counts",
-    "count_matchings",
-    "degree_distribution",
-    "empirical_density",
-    "enumerate_all_gluings",
-    "enumerate_ncpp",
-    "eigenvalues_symmetric",
-    "exponential_cdf",
-    "exponential_density",
-    "genus",
-    "genus_distribution",
-    "gluing_from_permutation",
-    "goe_surmise_cdf",
-    "goe_surmise_density",
-    "harer_zagier",
-    "is_bipartite",
-    "is_noncrossing",
-    "ks_distance",
-    "l1_histogram_distance",
-    "mckay_density",
-    "mean_jth_spacing",
-    "pooled_bulk_spacings",
-    "read_records",
-    "sample_genus_filtered",
-    "sample_ncpp",
-    "sample_uniform_gluing",
-    "spacing_distribution",
-    "validate_gluing",
-    "vertex_cycles",
-    "write_records",
-]
+# public name -> the submodule that defines it
+_SOURCE = {
+    "AdjacencyMatrix": "spectra",
+    "EnsembleRecord": "mapcore",
+    "FilteredSample": "samplers",
+    "Gluing": "mapcore",
+    "HistogramDensity": "stats",
+    "RngStream": "samplers",
+    "Spectrum": "spectra",
+    "build_adjacency": "mapcore",
+    "bulk_spacings": "stats",
+    "catalan": "counting",
+    "closed_walk_counts": "topology",
+    "count_matchings": "counting",
+    "degree_distribution": "topology",
+    "empirical_density": "stats",
+    "enumerate_all_gluings": "samplers",
+    "enumerate_ncpp": "samplers",
+    "eigenvalues_symmetric": "spectra",
+    "exponential_cdf": "stats",
+    "exponential_density": "stats",
+    "genus": "topology",
+    "genus_distribution": "counting",
+    "gluing_from_permutation": "mapcore",
+    "goe_surmise_cdf": "stats",
+    "goe_surmise_density": "stats",
+    "harer_zagier": "counting",
+    "is_bipartite": "topology",
+    "is_noncrossing": "topology",
+    "ks_distance": "stats",
+    "l1_histogram_distance": "stats",
+    "mckay_density": "stats",
+    "mean_jth_spacing": "stats",
+    "pooled_bulk_spacings": "stats",
+    "read_records": "mapcore",
+    "sample_genus_filtered": "samplers",
+    "sample_ncpp": "samplers",
+    "sample_uniform_gluing": "samplers",
+    "spacing_distribution": "stats",
+    "validate_gluing": "mapcore",
+    "vertex_cycles": "mapcore",
+    "write_records": "mapcore",
+}
+
+__all__ = list(_SOURCE)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

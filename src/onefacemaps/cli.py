@@ -5,6 +5,10 @@ genus, degrees, walks, enumerate.  Exit codes: 0 success, 2 validation
 error (an ensemble file with no records is one), 3 sampling budget
 exhausted, 4 I/O error.  A reader that closes standard output early
 (``| head``) ends the command quietly with exit 0.
+
+The array modules (``samplers``, ``spectra``, ``stats``) are imported by
+the commands that use them, so ``count``, ``table``, ``genus`` and
+``degrees`` run without importing numpy.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from . import counting, samplers, stats, topology
+from . import counting, topology
 from .errors import (
     BudgetExhaustedError,
     EmptyEnsembleError,
@@ -26,8 +30,9 @@ from .errors import (
     TooLargeError,
 )
 from .mapcore import EnsembleRecord, Gluing, build_adjacency, read_records, write_records
-from .samplers import RngStream
-from .spectra import Spectrum, eigenvalues_symmetric
+
+if TYPE_CHECKING:
+    from .spectra import Spectrum
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -65,6 +70,8 @@ def _read_ensemble(path: str) -> list[EnsembleRecord]:
 
 
 def _spectra(records: list[EnsembleRecord]) -> Iterator[Spectrum]:
+    from .spectra import eigenvalues_symmetric
+
     for rec in records:
         yield eigenvalues_symmetric(build_adjacency(rec.gluing))
 
@@ -85,6 +92,8 @@ def _write_table(
 
 
 def cmd_generate(args) -> int:
+    from . import samplers
+
     if args.samples < 1:
         raise OutOfRangeError("need --samples >= 1")
     if args.n < 1:
@@ -93,18 +102,20 @@ def cmd_generate(args) -> int:
         if args.genus is None:
             raise OutOfRangeError("--genus is required with --sampler genus-filtered")
         gluings = samplers.sample_genus_filtered(
-            args.n, args.genus, args.budget, RngStream(args.seed, 0), num_samples=args.samples
+            args.n, args.genus, args.budget, samplers.RngStream(args.seed, 0), num_samples=args.samples
         ).gluings
     elif args.genus is not None:
         raise OutOfRangeError("--genus only applies to --sampler genus-filtered")
     else:
         draw = samplers.sample_uniform_gluing if args.sampler == "uniform" else samplers.sample_ncpp
-        gluings = [draw(args.n, RngStream(args.seed, i)) for i in range(args.samples)]
+        gluings = [draw(args.n, samplers.RngStream(args.seed, i)) for i in range(args.samples)]
     _write_ensemble(args.out, gluings, args.seed)
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
+    from . import samplers
+
     stream = (
         samplers.enumerate_ncpp(args.n) if args.kind == "ncpp" else samplers.enumerate_all_gluings(args.n)
     )
@@ -134,7 +145,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_density(args) -> int:
-    hist = stats.empirical_density(_spectra(_read_ensemble(args.ensemble)), bins=args.bins)
+    from . import stats
+
+    bins = stats.DEFAULT_BINS if args.bins is None else args.bins
+    hist = stats.empirical_density(_spectra(_read_ensemble(args.ensemble)), bins=bins)
     mckay = stats.mckay_density(hist.bin_centers, k=3)
     with _open_out(args.out) as fh:
         fh.write("bin_center,density,mckay\n")
@@ -144,8 +158,14 @@ def cmd_density(args) -> int:
 
 
 def cmd_spacings(args) -> int:
+    from . import stats
+
     hist = stats.spacing_distribution(
-        _spectra(_read_ensemble(args.ensemble)), bulk_fraction=args.bulk_fraction, bins=args.bins
+        _spectra(_read_ensemble(args.ensemble)),
+        bulk_fraction=(
+            stats.DEFAULT_BULK_FRACTION if args.bulk_fraction is None else args.bulk_fraction
+        ),
+        bins=stats.DEFAULT_BINS if args.bins is None else args.bins,
     )
     surmise = stats.goe_surmise_density(hist.bin_centers)
     expo = stats.exponential_density(hist.bin_centers)
@@ -157,6 +177,8 @@ def cmd_spacings(args) -> int:
 
 
 def cmd_meanjth(args) -> int:
+    from . import stats
+
     means = stats.mean_jth_spacing(_spectra(_read_ensemble(args.ensemble)))
     with _open_out(args.out) as fh:
         fh.write("j,mean_spacing\n")
@@ -232,14 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="pooled eigenvalue density with reference curve")
     p.add_argument("ensemble")
-    p.add_argument("--bins", type=int, default=stats.DEFAULT_BINS)
+    p.add_argument("--bins", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("spacings", help="scaled bulk spacing distribution with references")
     p.add_argument("ensemble")
-    p.add_argument("--bins", type=int, default=stats.DEFAULT_BINS)
-    p.add_argument("--bulk-fraction", type=float, default=stats.DEFAULT_BULK_FRACTION)
+    p.add_argument("--bins", type=int, default=None)
+    p.add_argument("--bulk-fraction", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spacings)
 

@@ -14,9 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     BadLengthError,
@@ -26,8 +24,8 @@ from .errors import (
     ParseError,
 )
 
-# Dense symmetric table of small non-negative integers, shape (2N, 2N).
-AdjacencyMatrix = np.ndarray
+if TYPE_CHECKING:
+    from .spectra import AdjacencyMatrix
 
 
 @dataclass(frozen=True)
@@ -77,6 +75,8 @@ def gluing_from_permutation(perm: Sequence[int]) -> Gluing:
     ``partner(i) = perm^-1(t(perm(i)))`` with t(2k-1) = 2k.  ``perm`` is
     given as the 1-based image sequence: perm(i) = perm[i - 1].
     """
+    import numpy as np
+
     perm = np.asarray(perm, dtype=np.int64)
     two_n = perm.size
     if perm.ndim != 1 or two_n % 2 != 0 or two_n == 0:
@@ -131,6 +131,8 @@ def build_adjacency(g: Gluing) -> AdjacencyMatrix:
     yields entry 2 (and the degenerate n=1 map yields a single entry 3).
     Rows always sum to exactly 3.
     """
+    import numpy as np
+
     two_n = 2 * g.n
     a = np.zeros((two_n, two_n), dtype=np.int64)
     idx = np.arange(two_n)

@@ -18,12 +18,13 @@ from typing import Iterator
 
 import numpy as np
 
-from . import topology
 from .errors import BudgetExhaustedError, OutOfRangeError, TooLargeError
 from .mapcore import Gluing, gluing_from_permutation
 
 ENUMERATE_ALL_MAX = 8  # (2n-1)!! past this is unreasonable to stream
 ENUMERATE_NCPP_MAX = 14  # C_14 = 2674440
+# labels (draws x 2n) whose orbits one batch of genus filtering counts at once
+_FILTER_BATCH_LABELS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,26 @@ class FilteredSample:
     attempts: int
 
 
+def _orbit_counts(mates: np.ndarray) -> np.ndarray:
+    """Number of orbits of i -> mate(i+1 mod 2n) in each row of ``mates``.
+
+    Each row is a 0-based partner table, and its orbits are the map's
+    vertices, as in ``vertex_cycles``.  Pointer doubling over the flat
+    labels of the whole batch: after k rounds ``low[i]`` is the least of
+    the first 2^k labels on the orbit of i, so once 2^k reaches 2n it is
+    the orbit's least label, and each orbit has exactly one label i with
+    ``low[i] == i``.
+    """
+    rows, two_n = mates.shape
+    flat = np.arange(rows * two_n).reshape(rows, two_n)
+    jump = (np.roll(mates, -1, axis=1) + flat[:, :1]).ravel()
+    low = flat.ravel().copy()
+    for _ in range((two_n - 1).bit_length()):  # 2^rounds >= 2n
+        np.minimum(low, low[jump], out=low)
+        jump = jump[jump]
+    return np.count_nonzero(low.reshape(rows, two_n) == flat, axis=1)
+
+
 def sample_genus_filtered(
     n: int,
     target_genus: int,
@@ -169,20 +190,44 @@ def sample_genus_filtered(
     budget is spent and everything found is returned.  Raises
     BudgetExhaustedError (carrying the partial sample) if the budget ends
     before the request is met, or with nothing found.
+
+    The draws are exactly those of repeated ``sample_uniform_gluing``
+    calls on the same generator, one ``permutation(2n)`` each, and stop
+    at the same draw: the kept maps, ``attempts`` and the generator's
+    state afterwards do not depend on how the work is batched.  The
+    vertices of a batch of draws are counted together, by pointer
+    doubling, and a ``Gluing`` is built only for a kept draw.  A batch
+    never holds more draws than the maps still wanted or the budget left,
+    so no draw past the one that meets the request is made.
     """
     if not 0 <= target_genus <= n // 2:
         raise OutOfRangeError(f"target genus must lie in 0..{n // 2}, got {target_genus}")
     if max_attempts < 1:
         raise OutOfRangeError("need max_attempts >= 1")
     gen = _as_generator(rng)
+    if n < 1:
+        raise OutOfRangeError("need n >= 1")
+    two_n = 2 * n
+    vertices = n + 1 - 2 * target_genus  # Euler's formula for one face
     kept: list[Gluing] = []
     attempts = 0
-    for attempts in range(1, max_attempts + 1):
-        g = sample_uniform_gluing(n, gen)
-        if topology.genus(g) == target_genus:
-            kept.append(g)
+    while attempts < max_attempts:
+        size = min(max(1, _FILTER_BATCH_LABELS // two_n), max_attempts - attempts)
+        if num_samples is not None:
+            # a draw keeps at most one map: the request is met at the batch's last draw or later
+            size = min(size, max(1, num_samples - len(kept)))
+        perms = np.stack([gen.permutation(two_n) for _ in range(size)])
+        # as in gluing_from_permutation, 0-based: i is glued to the label
+        # that perm sends to perm(i) ^ 1, the standard mate of perm(i)
+        rows = np.arange(size)[:, None]
+        inverse = np.empty_like(perms)
+        inverse[rows, perms] = np.arange(two_n)
+        mates = inverse[rows, perms ^ 1]
+        for i in np.flatnonzero(_orbit_counts(mates) == vertices).tolist():
+            kept.append(gluing_from_permutation(perms[i] + 1))
             if num_samples is not None and len(kept) >= num_samples:
-                return FilteredSample(gluings=tuple(kept), attempts=attempts)
+                return FilteredSample(gluings=tuple(kept), attempts=attempts + i + 1)
+        attempts += size
     if num_samples is None and kept:
         return FilteredSample(gluings=tuple(kept), attempts=attempts)
     wanted = "at least one map" if num_samples is None else f"{num_samples} maps"

@@ -20,7 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergenceError
-from .mapcore import AdjacencyMatrix, _parity_blocks_vanish
+from .mapcore import _parity_blocks_vanish
+
+# Dense symmetric table of small non-negative integers, shape (2N, 2N),
+# as ``mapcore.build_adjacency`` returns it.
+AdjacencyMatrix = np.ndarray
 
 
 @dataclass(frozen=True, eq=False)

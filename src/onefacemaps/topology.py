@@ -11,11 +11,13 @@ here.
 from __future__ import annotations
 
 from collections import Counter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import OutOfRangeError, ParityViolationError
-from .mapcore import AdjacencyMatrix, Gluing, _parity_blocks_vanish, build_adjacency, vertex_cycles
+from .mapcore import Gluing, _parity_blocks_vanish, build_adjacency, vertex_cycles
+
+if TYPE_CHECKING:
+    from .spectra import AdjacencyMatrix
 
 # entries of A^r are bounded by 3^r; int64 is exact up to this cap
 MAX_WALK_LENGTH = 20
@@ -49,6 +51,8 @@ def is_bipartite(a: AdjacencyMatrix) -> bool:
     exactly when no entry joins two labels of the same parity: one
     vectorised O(n^2) scan.
     """
+    import numpy as np
+
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0:
         raise ValueError(f"expected a square matrix of even size, got shape {a.shape}")
@@ -74,10 +78,12 @@ def closed_walk_counts(g: Gluing, r_max: int) -> list[int]:
     """Exact numbers of closed walks of lengths 1..r_max: trace(A^r).
 
     A is the 2n-cycle, its transpose and the glued matching, so row i of
-    A @ X is X[i - 1] + X[i + 1] + X[mate(i)]: each power is two row rolls
-    and a row gather in int64, with no matrix product.  Capped at
-    r_max = 20 so the int64 powers cannot overflow.
+    A @ X is X[i - 1] + X[i + 1] + X[mate(i)]: each power is a row gather
+    plus four shifted row slices added in place, in int64, with no matrix
+    product.  Capped at r_max = 20 so the int64 powers cannot overflow.
     """
+    import numpy as np
+
     if r_max < 1:
         raise OutOfRangeError("need r_max >= 1")
     if r_max > MAX_WALK_LENGTH:
@@ -88,6 +94,11 @@ def closed_walk_counts(g: Gluing, r_max: int) -> list[int]:
     power = build_adjacency(g)
     walks = [int(np.trace(power))]
     for _ in range(2, r_max + 1):
-        power = np.roll(power, 1, 0) + np.roll(power, -1, 0) + power[mate]
+        nxt = power[mate]
+        nxt[1:] += power[:-1]
+        nxt[0] += power[-1]
+        nxt[:-1] += power[1:]
+        nxt[-1] += power[0]
+        power = nxt
         walks.append(int(np.trace(power)))
     return walks

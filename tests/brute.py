@@ -7,8 +7,10 @@ the inverse of the production one, so the cycle count must agree), and
 genus counts come from the Harer-Zagier generating function as an exact
 rational power series, not from the package's recurrence, spectra come
 from a dense symmetric eigensolve of the whole matrix, bipartiteness
-from a breadth-first 2-coloring that assumes nothing about the graph, and
-closed walks from matrix powers in Python integers.
+from a breadth-first 2-coloring that assumes nothing about the graph,
+closed walks from matrix powers in Python integers, and genus-filtered
+rejection from single draws, one ``sample_uniform_gluing`` and one
+reverse-orientation genus at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
+
+from onefacemaps import FilteredSample, sample_uniform_gluing
+from onefacemaps.errors import BudgetExhaustedError
 
 
 def all_matchings(n: int) -> Iterator[tuple[int, ...]]:
@@ -151,3 +156,27 @@ def bipartite_by_bfs(a) -> bool:
                 elif color[w] == color[v]:
                     return False
     return True
+
+
+def genus_filtered_by_single_draws(
+    n: int, target_genus: int, max_attempts: int, gen, num_samples: int | None = None
+) -> FilteredSample:
+    """Rejection one draw at a time, stopping at the first draw that meets
+    the request: the loop ``sample_genus_filtered`` must reproduce, down to
+    the kept gluings, ``attempts`` and the generator's state afterwards."""
+    kept = []
+    attempts = 0
+    for attempts in range(1, max_attempts + 1):
+        g = sample_uniform_gluing(n, gen)
+        if genus_reverse(g.partner) == target_genus:
+            kept.append(g)
+            if num_samples is not None and len(kept) >= num_samples:
+                return FilteredSample(gluings=tuple(kept), attempts=attempts)
+    if num_samples is None and kept:
+        return FilteredSample(gluings=tuple(kept), attempts=attempts)
+    wanted = "at least one map" if num_samples is None else f"{num_samples} maps"
+    raise BudgetExhaustedError(
+        f"found {len(kept)} genus-{target_genus} maps in {attempts} draws, wanted {wanted}",
+        gluings=kept,
+        attempts=attempts,
+    )

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -261,38 +262,87 @@ _EVERY_COMMAND = [
     ("walks", ["walks", "{d}/uni", "--rmax", "20", "--out", "{d}/walks"]),
 ]
 
-# Runs _EVERY_COMMAND in the directory argv[1], with scipy unimportable if
-# argv[2] is "block"; commands that print go to a file named after them.
-# Prints each exit code, then the scipy modules loaded.
-_RUN_EVERY_COMMAND = """
+# Runs the commands of argv[3] in the directory argv[1], with the module
+# argv[2] unimportable unless argv[2] is ""; commands that print go to a file
+# named after them.  Prints each exit code, then the argv[4] modules loaded.
+_RUN_COMMANDS = """
 import contextlib, json, sys
-if sys.argv[2] == "block":
-    sys.modules["scipy"] = None
+if sys.argv[2]:
+    sys.modules[sys.argv[2]] = None
 from onefacemaps import cli
 d = sys.argv[1]
 for name, argv in json.loads(sys.argv[3]):
     with open(f"{d}/{name}.stdout", "w") as fh, contextlib.redirect_stdout(fh):
         code = cli.main([a.format(d=d) for a in argv])
     print(name, code)
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m]))
+print(sorted(m for m in sys.modules if m.split(".")[0] == sys.argv[4] and sys.modules[m]))
 """
 
 
-def test_every_command_runs_without_scipy(tmp_path):
+def _run_commands(tmp_path, blocked: str, commands, inputs=()) -> dict[str, bytes]:
+    """The files each command wrote, with ``blocked`` unimportable and as
+    usual, after asserting every command exits 0 and neither run loads
+    ``blocked``.  Files named in ``inputs`` are copied into both runs."""
     outputs = {}
     for mode in ("block", "normal"):
         d = tmp_path / mode
         d.mkdir()
-        with _fresh_interpreter("-c", _RUN_EVERY_COMMAND, str(d), mode, json.dumps(_EVERY_COMMAND),
-                                stdout=subprocess.PIPE) as proc:
+        for path in inputs:
+            (d / path.name).write_bytes(path.read_bytes())
+        with _fresh_interpreter("-c", _RUN_COMMANDS, str(d), blocked if mode == "block" else "",
+                                json.dumps(commands), blocked, stdout=subprocess.PIPE) as proc:
             out, _ = proc.communicate(timeout=300)
         assert proc.returncode == 0
         *codes, loaded = out.decode().splitlines()
-        assert codes == [f"{name} 0" for name, _ in _EVERY_COMMAND]
-        assert loaded == "[]"  # the package loads no scipy, blocked or not
+        assert codes == [f"{name} 0" for name, _ in commands]
+        assert loaded == "[]"  # the package loads no such module, blocked or not
         outputs[mode] = {p.name: p.read_bytes() for p in sorted(d.iterdir())}
-    assert len(outputs["block"]) == 2 * len(_EVERY_COMMAND) - 2  # count, table: stdout only
     assert outputs["block"] == outputs["normal"]
+    return outputs["normal"]
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    outputs = _run_commands(tmp_path, "scipy", _EVERY_COMMAND)
+    assert len(outputs) == 2 * len(_EVERY_COMMAND) - 2  # count, table: stdout only
+
+
+# the commands that need neither arrays nor numpy's random streams
+_INTEGER_COMMANDS = [
+    ("count", ["count", "7", "30"]),
+    ("table", ["table", "300"]),
+    ("genus", ["genus", "{d}/uni.jsonl", "--out", "{d}/genus"]),
+    ("genus_json", ["genus", "{d}/uni.jsonl", "--format", "json"]),
+    ("degrees", ["degrees", "{d}/nc.jsonl", "--out", "{d}/degrees"]),
+    ("degrees_json", ["degrees", "{d}/nc.jsonl", "--format", "json"]),
+]
+
+
+def test_integer_and_record_commands_run_without_numpy(tmp_path):
+    uni, nc = tmp_path / "uni.jsonl", tmp_path / "nc.jsonl"
+    assert run("generate", "--n", 30, "--samples", 8, "--seed", 5, "--out", uni) == 0
+    assert run("generate", "--sampler", "ncpp", "--n", 30, "--samples", 8, "--seed", 5,
+               "--out", nc) == 0
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    outputs = _run_commands(runs, "numpy", _INTEGER_COMMANDS, inputs=(uni, nc))
+    assert outputs["count.stdout"] == f"{onefacemaps.harer_zagier(7, 30)}\n".encode()
+    assert outputs["genus"].splitlines()[0] == b"sample_index,genus"
+    assert outputs["degrees_json.stdout"].startswith(b'{"degree":1,')
+
+
+def test_package_surface_loads_lazily():
+    with _fresh_interpreter("-c", "import sys, onefacemaps.cli; print('numpy' in sys.modules)",
+                            stdout=subprocess.PIPE) as proc:
+        out, _ = proc.communicate(timeout=120)
+    assert out == b"False\n"
+    star: dict = {}
+    exec("from onefacemaps import *", star)
+    for name in onefacemaps.__all__:
+        source = importlib.import_module(f"onefacemaps.{onefacemaps._SOURCE[name]}")
+        assert star[name] is getattr(source, name)
+    assert set(onefacemaps.__all__) <= set(dir(onefacemaps))
+    with pytest.raises(AttributeError):
+        onefacemaps.no_such_name
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from scipy import stats as scipy_stats
 
 import brute
 from onefacemaps import (
+    Gluing,
     RngStream,
     catalan,
     enumerate_all_gluings,
@@ -18,9 +19,10 @@ from onefacemaps import (
     sample_ncpp,
     sample_uniform_gluing,
     validate_gluing,
+    vertex_cycles,
 )
 from onefacemaps.errors import BudgetExhaustedError, OutOfRangeError, TooLargeError
-from onefacemaps.samplers import _noncrossing_partner
+from onefacemaps.samplers import _noncrossing_partner, _orbit_counts
 
 
 def test_rng_stream_is_deterministic():
@@ -181,3 +183,44 @@ def test_genus_filtered_partial_results_attached():
 def test_genus_filtered_target_validation():
     with pytest.raises(OutOfRangeError):
         sample_genus_filtered(4, 3, 10, RngStream(0))
+
+
+def _filtered_outcome(sampler, n, target, budget, rng, num_samples):
+    try:
+        result = sampler(n, target, budget, rng, num_samples=num_samples)
+    except BudgetExhaustedError as exc:
+        return "exhausted", str(exc), tuple(exc.gluings), exc.attempts
+    return "met", result.gluings, result.attempts
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30, 300])
+@pytest.mark.parametrize("half", [False, True])
+@pytest.mark.parametrize("num_samples", [None, 1, 25])
+def test_genus_filtered_equals_single_draw_loop(n, half, num_samples):
+    target = n // 2 if half else 0
+    # budgets that end mid-batch, and that run out before the request is met
+    for budget, seed in itertools.product((1, 60, 400), range(3)):
+        batched, single = RngStream(seed, 9).generator(), RngStream(seed, 9).generator()
+        got = _filtered_outcome(sample_genus_filtered, n, target, budget, batched, num_samples)
+        want = _filtered_outcome(brute.genus_filtered_by_single_draws, n, target, budget, single,
+                                 num_samples)
+        assert got == want
+        # the caller's generator is left where the single-draw loop leaves it
+        assert batched.integers(2**63) == single.integers(2**63)
+
+
+def test_genus_filtered_reproduces_its_rng_stream():
+    stream = RngStream(4, 2)
+    expected = brute.genus_filtered_by_single_draws(300, 147, 1_000, stream.generator(), 20)
+    assert sample_genus_filtered(300, 147, 1_000, stream, num_samples=20) == expected
+
+
+def test_orbit_count_equals_vertex_cycles():
+    for n in range(1, 6):
+        partners = list(brute.all_matchings(n))
+        counts = _orbit_counts(np.array(partners) - 1)
+        assert counts.tolist() == [len(vertex_cycles(Gluing.from_partner(p))) for p in partners]
+    gen = RngStream(300).generator()
+    draws = [sample_uniform_gluing(300, gen) for _ in range(200)]
+    counts = _orbit_counts(np.array([g.partner for g in draws]) - 1)
+    assert counts.tolist() == [len(vertex_cycles(g)) for g in draws]
