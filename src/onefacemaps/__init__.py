@@ -26,9 +26,7 @@ _SOURCE = {
     "Spectrum": "spectra",
     "build_adjacency": "mapcore",
     "bulk_spacings": "stats",
-    "catalan": "counting",
     "closed_walk_counts": "topology",
-    "count_matchings": "counting",
     "degree_distribution": "topology",
     "empirical_density": "stats",
     "enumerate_all_gluings": "samplers",
@@ -38,7 +36,6 @@ _SOURCE = {
     "exponential_density": "stats",
     "genus": "topology",
     "genus_distribution": "counting",
-    "gluing_from_permutation": "mapcore",
     "goe_surmise_cdf": "stats",
     "goe_surmise_density": "stats",
     "harer_zagier": "counting",
@@ -54,7 +51,6 @@ _SOURCE = {
     "sample_ncpp": "samplers",
     "sample_uniform_gluing": "samplers",
     "spacing_distribution": "stats",
-    "validate_gluing": "mapcore",
     "vertex_cycles": "mapcore",
     "write_records": "mapcore",
 }

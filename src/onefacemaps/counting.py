@@ -1,4 +1,4 @@
-"""Exact combinatorics of gluings: Catalan numbers and genus counts.
+"""Exact combinatorics of gluings: the number of maps of each genus.
 
 Everything here is integer arithmetic.  The number ε_g(n) of genus-g
 one-face maps with n edges follows the Harer–Zagier recurrence
@@ -12,25 +12,10 @@ wrong term raises instead of rounding.
 
 from __future__ import annotations
 
-import math
 from itertools import islice
 from typing import Iterator
 
 from .errors import OutOfRangeError
-
-
-def catalan(n: int) -> int:
-    """n-th Catalan number (2n choose n)/(n+1); counts non-crossing pairings."""
-    if n < 0:
-        raise OutOfRangeError("catalan is defined for n >= 0")
-    return math.comb(2 * n, n) // (n + 1)
-
-
-def count_matchings(n: int) -> int:
-    """(2n-1)!!, the number of perfect matchings on 2n labels."""
-    if n < 0:
-        raise OutOfRangeError("need n >= 0")
-    return math.prod(range(1, 2 * n, 2))
 
 
 def _harer_zagier_rows(g_max: int) -> Iterator[list[int]]:

@@ -17,10 +17,6 @@ class FixedPointError(GluingError):
     """Some label is glued to itself."""
 
 
-class NotAPermutationError(ValueError):
-    """Input sequence is not a bijection on 1..2N."""
-
-
 class OutOfRangeError(ValueError):
     """Argument lies outside the documented domain."""
 
@@ -40,10 +36,6 @@ class BudgetExhaustedError(RuntimeError):
         super().__init__(message)
         self.gluings = list(gluings) if gluings is not None else []
         self.attempts = attempts
-
-
-class ParityViolationError(RuntimeError):
-    """Euler count N+1-V came out odd; indicates an internal bug."""
 
 
 class NoConvergenceError(RuntimeError):

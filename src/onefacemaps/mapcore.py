@@ -6,7 +6,13 @@ A one-face map with N edges is encoded by a fixed-point-free involution
 per glued pair, so every vertex has degree exactly three and the adjacency
 matrix splits into a cycle part and a permuted perfect matching.
 
-Labels are 1-based everywhere in this module and in serialized records.
+Labels are 1-based in the public names of this module and in serialized
+records.  Both label rules live here and nowhere else: the standard
+matching 2k-1 <-> 2k, which ``_conjugate`` conjugates by random
+permutations to make gluings, and the vertex orbits i -> partner(i+1),
+walked for one gluing by ``vertex_cycles`` and counted for a batch by
+``_orbit_counts``.  Those two private kernels work on rows of 0-based
+numpy arrays; numpy is imported only by the functions that use arrays.
 """
 
 from __future__ import annotations
@@ -19,12 +25,13 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .errors import (
     BadLengthError,
     FixedPointError,
-    NotAPermutationError,
     NotInvolutionError,
     ParseError,
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .spectra import AdjacencyMatrix
 
 
@@ -33,15 +40,29 @@ class Gluing:
     """Fixed-point-free involution on the labels 1..2n.
 
     ``partner[i - 1]`` is the label glued to label ``i``.  Instances are
-    immutable and hashable, and are checked with :func:`validate_gluing`
-    when they are built, so every ``Gluing`` that exists is valid.
+    immutable and hashable, and are checked when they are built, so every
+    ``Gluing`` that exists is valid: a violated invariant raises the
+    GluingError subclass that names the first one.
     """
 
     n: int
     partner: tuple[int, ...]
 
     def __post_init__(self):
-        validate_gluing(self)
+        two_n = len(self.partner)
+        if two_n % 2 != 0 or two_n == 0 or two_n != 2 * self.n:
+            raise BadLengthError(
+                f"partner table must have length 2n = {2 * self.n}, got {two_n}"
+            )
+        for i, p in enumerate(self.partner, start=1):
+            if not 1 <= p <= two_n:
+                raise NotInvolutionError(f"partner of {i} is {p}, outside 1..{two_n}")
+            if p == i:
+                raise FixedPointError(f"label {i} is glued to itself")
+            if self.partner[p - 1] != i:
+                raise NotInvolutionError(
+                    f"partner[{p}] = {self.partner[p - 1]} but partner[{i}] = {p}"
+                )
 
     @classmethod
     def from_partner(cls, partner: Sequence[int]) -> "Gluing":
@@ -49,46 +70,20 @@ class Gluing:
         return cls(n=len(partner) // 2, partner=partner)
 
 
-def validate_gluing(g: Gluing) -> None:
-    """Raise a GluingError subclass naming the first violated invariant."""
-    two_n = len(g.partner)
-    if two_n % 2 != 0 or two_n == 0 or two_n != 2 * g.n:
-        raise BadLengthError(
-            f"partner table must have length 2n = {2 * g.n}, got {two_n}"
-        )
-    for i, p in enumerate(g.partner, start=1):
-        if not 1 <= p <= two_n:
-            raise NotInvolutionError(f"partner of {i} is {p}, outside 1..{two_n}")
-        if p == i:
-            raise FixedPointError(f"label {i} is glued to itself")
-        if g.partner[p - 1] != i:
-            raise NotInvolutionError(
-                f"partner[{p}] = {g.partner[p - 1]} but partner[{i}] = {p}"
-            )
+def _conjugate(perms: np.ndarray) -> np.ndarray:
+    """Partner rows of the standard matching conjugated by each row of ``perms``.
 
-
-def gluing_from_permutation(perm: Sequence[int]) -> Gluing:
-    """Gluing obtained by conjugating the standard matching by ``perm``.
-
-    The standard matching pairs 2k-1 with 2k.  Labels i and j end up glued
-    exactly when perm(i) and perm(j) are such a standard pair, i.e.
-    ``partner(i) = perm^-1(t(perm(i)))`` with t(2k-1) = 2k.  ``perm`` is
-    given as the 1-based image sequence: perm(i) = perm[i - 1].
+    The standard matching pairs 2k-1 with 2k, so 0-based j with j ^ 1.  Each
+    row of ``perms`` is a 0-based permutation of 0..2n-1, and labels i and j
+    end up glued exactly when perm(i) and perm(j) are such a standard
+    pair: row i of the result is perm^-1(perm(i) ^ 1), 0-based.
     """
     import numpy as np
 
-    perm = np.asarray(perm, dtype=np.int64)
-    two_n = perm.size
-    if perm.ndim != 1 or two_n % 2 != 0 or two_n == 0:
-        raise BadLengthError(f"permutation length must be even and positive, got {two_n}")
-    # for a permutation, inverse[v - 1] is the 0-based label that perm sends to v
-    inverse = np.argsort(perm)
-    if not np.array_equal(perm[inverse], np.arange(1, two_n + 1)):
-        raise NotAPermutationError(f"input is not a bijection on 1..{two_n}")
-    partner = np.empty(two_n, dtype=np.int64)
-    partner[inverse[0::2]] = inverse[1::2] + 1
-    partner[inverse[1::2]] = inverse[0::2] + 1
-    return Gluing(n=two_n // 2, partner=tuple(partner.tolist()))
+    rows = np.arange(perms.shape[0])[:, None]
+    inverse = np.empty_like(perms)
+    inverse[rows, perms] = np.arange(perms.shape[1])
+    return inverse[rows, perms ^ 1]
 
 
 def _parity_blocks_vanish(a: AdjacencyMatrix) -> bool:
@@ -122,6 +117,28 @@ def vertex_cycles(g: Gluing) -> list[tuple[int, ...]]:
             i = partner[i % two_n]
         cycles.append(tuple(cycle))
     return cycles
+
+
+def _orbit_counts(mates: np.ndarray) -> np.ndarray:
+    """Number of orbits of i -> mate(i+1 mod 2n) in each row of ``mates``.
+
+    Each row is a 0-based partner table, and its orbits are the map's
+    vertices, as in ``vertex_cycles``.  Pointer doubling over the flat
+    labels of the whole batch: after k rounds ``low[i]`` is the least of
+    the first 2^k labels on the orbit of i, so once 2^k reaches 2n it is
+    the orbit's least label, and each orbit has exactly one label i with
+    ``low[i] == i``.
+    """
+    import numpy as np
+
+    rows, two_n = mates.shape
+    flat = np.arange(rows * two_n).reshape(rows, two_n)
+    jump = (np.roll(mates, -1, axis=1) + flat[:, :1]).ravel()
+    low = flat.ravel().copy()
+    for _ in range((two_n - 1).bit_length()):  # 2^rounds >= 2n
+        np.minimum(low, low[jump], out=low)
+        jump = jump[jump]
+    return np.count_nonzero(low.reshape(rows, two_n) == flat, axis=1)
 
 
 def build_adjacency(g: Gluing) -> AdjacencyMatrix:

@@ -1,14 +1,18 @@
 """Random and exhaustive generation of gluings.
 
-Uniform gluings are drawn by pushing a uniform random permutation through
-the standard-matching conjugation (every matching has 2^n n! permutation
-preimages, so the pushforward is uniform).  Non-crossing gluings come from
-the cycle lemma (Dvoretzky and Motzkin, Duke Math. J. 14, 1947): of the
-2n+1 rotations of a sequence of n up-steps and n+1 down-steps exactly one
-stays at or above its start until its final step, so rotating a uniform
-arrangement gives a uniform Dyck path, whose matched steps are a uniform
-non-crossing pairing.  Both use integers only; every non-crossing pairing
-comes out with probability exactly 1/C_n.
+Uniform gluings are drawn by pushing uniform random permutations through
+``mapcore``'s conjugation kernel (every matching has 2^n n! permutation
+preimages, so the pushforward is uniform): one draw and a batch of
+rejection draws go through the same kernel, and rejection counts the
+vertices of a batch with ``mapcore``'s orbit kernel; the standard
+matching and the orbit rule are written only there.  Non-crossing
+gluings come from the cycle lemma (Dvoretzky and Motzkin, Duke Math. J.
+14, 1947): of the 2n+1 rotations of a sequence of n up-steps and n+1
+down-steps exactly one stays at or above its start until its final step,
+so rotating a uniform arrangement gives a uniform Dyck path, whose
+matched steps are a uniform non-crossing pairing.  Both use integers
+only; every non-crossing pairing comes out with probability exactly
+1/C_n.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExhaustedError, OutOfRangeError, TooLargeError
-from .mapcore import Gluing, gluing_from_permutation
+from .mapcore import Gluing, _conjugate, _orbit_counts
 
 ENUMERATE_ALL_MAX = 8  # (2n-1)!! past this is unreasonable to stream
 ENUMERATE_NCPP_MAX = 14  # C_14 = 2674440
@@ -57,13 +61,17 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
+def _gluing(mates: np.ndarray) -> Gluing:
+    """The gluing of one 0-based partner row."""
+    return Gluing(n=mates.size // 2, partner=tuple((mates + 1).tolist()))
+
+
 def sample_uniform_gluing(n: int, rng) -> Gluing:
     """One gluing uniform over all (2n-1)!! perfect matchings."""
     if n < 1:
         raise OutOfRangeError("need n >= 1")
     gen = _as_generator(rng)
-    perm = gen.permutation(2 * n) + 1
-    return gluing_from_permutation(perm)
+    return _gluing(_conjugate(gen.permutation(2 * n)[None])[0])
 
 
 def _noncrossing_partner(up: np.ndarray) -> np.ndarray:
@@ -99,7 +107,10 @@ def sample_ncpp(n: int, rng) -> Gluing:
 
 
 def enumerate_all_gluings(n: int) -> Iterator[Gluing]:
-    """All (2n-1)!! gluings, each exactly once, in deterministic order."""
+    """All (2n-1)!! gluings, each exactly once, in deterministic order.
+
+    ``n`` is checked when the function is called, before the first item.
+    """
     if n < 1:
         raise OutOfRangeError("need n >= 1")
     if n > ENUMERATE_ALL_MAX:
@@ -120,12 +131,14 @@ def enumerate_all_gluings(n: int) -> Iterator[Gluing]:
                 partner[i] = 0
                 partner[j] = 0
 
-    for _ in fill():
-        yield Gluing(n=n, partner=tuple(partner))
+    return (Gluing(n=n, partner=tuple(partner)) for _ in fill())
 
 
 def enumerate_ncpp(n: int) -> Iterator[Gluing]:
-    """All C_n non-crossing gluings, each exactly once, deterministic order."""
+    """All C_n non-crossing gluings, each exactly once, deterministic order.
+
+    ``n`` is checked when the function is called, before the first item.
+    """
     if n < 1:
         raise OutOfRangeError("need n >= 1")
     if n > ENUMERATE_NCPP_MAX:
@@ -143,8 +156,7 @@ def enumerate_ncpp(n: int) -> Iterator[Gluing]:
             for _ in fill(first + 1, m - 1):
                 yield from fill(mate + 1, k - m)
 
-    for _ in fill(1, n):
-        yield Gluing(n=n, partner=tuple(partner))
+    return (Gluing(n=n, partner=tuple(partner)) for _ in fill(1, n))
 
 
 @dataclass(frozen=True)
@@ -153,26 +165,6 @@ class FilteredSample:
 
     gluings: tuple[Gluing, ...]
     attempts: int
-
-
-def _orbit_counts(mates: np.ndarray) -> np.ndarray:
-    """Number of orbits of i -> mate(i+1 mod 2n) in each row of ``mates``.
-
-    Each row is a 0-based partner table, and its orbits are the map's
-    vertices, as in ``vertex_cycles``.  Pointer doubling over the flat
-    labels of the whole batch: after k rounds ``low[i]`` is the least of
-    the first 2^k labels on the orbit of i, so once 2^k reaches 2n it is
-    the orbit's least label, and each orbit has exactly one label i with
-    ``low[i] == i``.
-    """
-    rows, two_n = mates.shape
-    flat = np.arange(rows * two_n).reshape(rows, two_n)
-    jump = (np.roll(mates, -1, axis=1) + flat[:, :1]).ravel()
-    low = flat.ravel().copy()
-    for _ in range((two_n - 1).bit_length()):  # 2^rounds >= 2n
-        np.minimum(low, low[jump], out=low)
-        jump = jump[jump]
-    return np.count_nonzero(low.reshape(rows, two_n) == flat, axis=1)
 
 
 def sample_genus_filtered(
@@ -196,7 +188,8 @@ def sample_genus_filtered(
     at the same draw: the kept maps, ``attempts`` and the generator's
     state afterwards do not depend on how the work is batched.  The
     vertices of a batch of draws are counted together, by pointer
-    doubling, and a ``Gluing`` is built only for a kept draw.  A batch
+    doubling, and a ``Gluing`` is built only for a kept draw, from the
+    partner row its batch already holds.  A batch
     never holds more draws than the maps still wanted or the budget left,
     so no draw past the one that meets the request is made.
     """
@@ -216,15 +209,9 @@ def sample_genus_filtered(
         if num_samples is not None:
             # a draw keeps at most one map: the request is met at the batch's last draw or later
             size = min(size, max(1, num_samples - len(kept)))
-        perms = np.stack([gen.permutation(two_n) for _ in range(size)])
-        # as in gluing_from_permutation, 0-based: i is glued to the label
-        # that perm sends to perm(i) ^ 1, the standard mate of perm(i)
-        rows = np.arange(size)[:, None]
-        inverse = np.empty_like(perms)
-        inverse[rows, perms] = np.arange(two_n)
-        mates = inverse[rows, perms ^ 1]
+        mates = _conjugate(np.stack([gen.permutation(two_n) for _ in range(size)]))
         for i in np.flatnonzero(_orbit_counts(mates) == vertices).tolist():
-            kept.append(gluing_from_permutation(perms[i] + 1))
+            kept.append(_gluing(mates[i]))
             if num_samples is not None and len(kept) >= num_samples:
                 return FilteredSample(gluings=tuple(kept), attempts=attempts + i + 1)
         attempts += size

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING
 
-from .errors import OutOfRangeError, ParityViolationError
+from .errors import OutOfRangeError
 from .mapcore import Gluing, _parity_blocks_vanish, build_adjacency, vertex_cycles
 
 if TYPE_CHECKING:
@@ -24,11 +24,13 @@ MAX_WALK_LENGTH = 20
 
 
 def genus(g: Gluing) -> int:
-    """Genus of the glued surface: (n + 1 - V) / 2 with V map vertices."""
-    handles_twice = g.n + 1 - len(vertex_cycles(g))
-    if handles_twice % 2 != 0:
-        raise ParityViolationError(f"n + 1 - V = {handles_twice} is odd (internal bug)")
-    return handles_twice // 2
+    """Genus of the glued surface: (n + 1 - V) / 2 with V map vertices.
+
+    n + 1 - V is always even: the vertex permutation i -> partner(i+1) is
+    n transpositions after a 2n-cycle, so its sign (-1)^(2n-V) = (-1)^V
+    is (-1)^n (-1)^(2n-1) = (-1)^(n+1).
+    """
+    return (g.n + 1 - len(vertex_cycles(g))) // 2
 
 
 def is_noncrossing(g: Gluing) -> bool:

@@ -10,7 +10,10 @@ from a dense symmetric eigensolve of the whole matrix, bipartiteness
 from a breadth-first 2-coloring that assumes nothing about the graph,
 closed walks from matrix powers in Python integers, and genus-filtered
 rejection from single draws, one ``sample_uniform_gluing`` and one
-reverse-orientation genus at a time.
+reverse-orientation genus at a time.  Conjugation of the standard matching
+by a permutation is the definition, label by label in Python, and the
+Catalan and matching numbers are closed forms: the reflection-principle
+difference of two binomials, and (2n)! / (2^n n!).
 """
 
 from __future__ import annotations
@@ -24,6 +27,26 @@ import numpy as np
 
 from onefacemaps import FilteredSample, sample_uniform_gluing
 from onefacemaps.errors import BudgetExhaustedError
+
+
+def catalan(n: int) -> int:
+    """C_n = (2n choose n) - (2n choose n+1): Dyck paths, by the reflection
+    principle; counts the non-crossing pairings of 2n labels."""
+    return math.comb(2 * n, n) - math.comb(2 * n, n + 1)
+
+
+def count_matchings(n: int) -> int:
+    """(2n)! / (2^n n!) = (2n-1)!!, the perfect matchings of 2n labels."""
+    return math.factorial(2 * n) // (2**n * math.factorial(n))
+
+
+def gluing_by_conjugation(perm) -> tuple[int, ...]:
+    """Partner tuple of the standard matching conjugated by ``perm``, given
+    as the 1-based images perm(i) = perm[i - 1]:
+    partner(i) = perm^-1(t(perm(i))), with t(2k-1) = 2k and t(2k) = 2k-1."""
+    perm = [int(v) for v in perm]
+    inverse = {v: i for i, v in enumerate(perm, start=1)}
+    return tuple(inverse[v + 1 if v % 2 else v - 1] for v in perm)
 
 
 def all_matchings(n: int) -> Iterator[tuple[int, ...]]:

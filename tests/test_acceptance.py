@@ -22,11 +22,10 @@ from scipy import signal
 from scipy import stats as scipy_stats
 
 import brute
+from brute import catalan, count_matchings
 from onefacemaps import (
     RngStream,
     build_adjacency,
-    catalan,
-    count_matchings,
     degree_distribution,
     eigenvalues_symmetric,
     empirical_density,

@@ -92,6 +92,15 @@ def test_enumerate_all(tmp_path):
     assert len(read_records(out)) == 15
 
 
+@pytest.mark.parametrize("args", [["--n", 9], ["--n", 0], ["--n", 15, "--kind", "ncpp"]])
+def test_enumerate_out_of_range_keeps_existing_out(args, tmp_path, capsys):
+    out = tmp_path / "keep.jsonl"
+    out.write_bytes(b"existing bytes\n")
+    assert run("enumerate", *args, "--out", out) == 2
+    assert out.read_bytes() == b"existing bytes\n"
+    assert capsys.readouterr().out == ""
+
+
 @pytest.fixture()
 def small_ensemble(tmp_path):
     path = tmp_path / "ens.jsonl"
@@ -182,6 +191,15 @@ def test_walks_csv(small_ensemble, tmp_path):
     assert len(rows) == 9
     first = rows[1].split(",")
     assert first[1] == "0"  # w1 = 0, zero diagonal
+
+
+@pytest.mark.parametrize("rmax", [0, 21])
+def test_walks_out_of_range_rmax_writes_nothing(rmax, small_ensemble, tmp_path, capsys):
+    assert run("walks", small_ensemble, "--rmax", rmax) == 2
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "walks.csv"
+    assert run("walks", small_ensemble, "--rmax", rmax, "--out", out) == 2
+    assert not out.exists()
 
 
 def test_statistics_outputs_deterministic(small_ensemble, tmp_path):

@@ -13,23 +13,24 @@ import brute
 from onefacemaps import (
     EnsembleRecord,
     Gluing,
+    RngStream,
     build_adjacency,
-    gluing_from_permutation,
     read_records,
-    validate_gluing,
+    sample_uniform_gluing,
+    vertex_cycles,
     write_records,
 )
 from onefacemaps.errors import (
     BadLengthError,
     FixedPointError,
-    NotAPermutationError,
     NotInvolutionError,
     ParseError,
 )
+from onefacemaps.mapcore import _conjugate, _orbit_counts
 
 
 def test_smallest_gluing_is_valid():
-    validate_gluing(Gluing.from_partner([2, 1]))
+    assert Gluing.from_partner([2, 1]).partner == (2, 1)
 
 
 def test_identity_partner_has_fixed_point():
@@ -70,22 +71,22 @@ def test_replace_with_invalid_partner_rejected():
         dataclasses.replace(g, n=3)
 
 
+def _conjugated(perms) -> list[tuple[int, ...]]:
+    """1-based partner tuples from the conjugation kernel, for 1-based
+    permutations given one per row."""
+    mates = _conjugate(np.array(perms, dtype=np.int64).reshape(len(perms), -1) - 1)
+    return [tuple(row) for row in (mates + 1).tolist()]
+
+
 def test_identity_permutation_gives_standard_matching():
-    assert gluing_from_permutation([1, 2, 3, 4]).partner == (2, 1, 4, 3)
+    assert _conjugated([[1, 2, 3, 4]]) == [(2, 1, 4, 3)]
+    assert brute.gluing_by_conjugation([1, 2, 3, 4]) == (2, 1, 4, 3)
 
 
 def test_conjugation_hand_example():
     # perm sends 2->3 and 3->2; pairs become {1,3} and {2,4}
-    assert gluing_from_permutation([1, 3, 2, 4]).partner == (3, 4, 1, 2)
-
-
-def test_non_permutation_inputs_rejected():
-    with pytest.raises(NotAPermutationError):
-        gluing_from_permutation([1, 1, 2, 3])
-    with pytest.raises(NotAPermutationError):
-        gluing_from_permutation([0, 1, 2, 3])
-    with pytest.raises(BadLengthError):
-        gluing_from_permutation([1, 2, 3])
+    assert _conjugated([[1, 3, 2, 4]]) == [(3, 4, 1, 2)]
+    assert brute.gluing_by_conjugation([1, 3, 2, 4]) == (3, 4, 1, 2)
 
 
 @given(
@@ -94,18 +95,35 @@ def test_non_permutation_inputs_rejected():
     )
 )
 def test_every_permutation_yields_valid_gluing(perm):
-    validate_gluing(gluing_from_permutation(list(perm)))
+    (partner,) = _conjugated([perm])
+    assert Gluing.from_partner(partner).partner == brute.gluing_by_conjugation(perm)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_pushforward_hits_each_matching_equally(n):
     # each matching has exactly 2^n n! permutation preimages
-    counts = Counter(
-        gluing_from_permutation(p).partner
-        for p in itertools.permutations(range(1, 2 * n + 1))
-    )
+    counts = Counter(_conjugated(list(itertools.permutations(range(1, 2 * n + 1)))))
     assert set(counts) == set(brute.all_matchings(n))
     assert set(counts.values()) == {2**n * math.factorial(n)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_uniform_gluing_is_its_stream_conjugated(n):
+    for seed, index in itertools.product((0, 5, 2**63), (0, 1, 17)):
+        perm = RngStream(seed, index).generator().permutation(2 * n) + 1
+        got = sample_uniform_gluing(n, RngStream(seed, index)).partner
+        assert got == brute.gluing_by_conjugation(perm)
+
+
+def test_orbit_count_equals_vertex_cycles():
+    for n in range(1, 6):
+        partners = list(brute.all_matchings(n))
+        counts = _orbit_counts(np.array(partners) - 1)
+        assert counts.tolist() == [len(vertex_cycles(Gluing.from_partner(p))) for p in partners]
+    gen = RngStream(300).generator()
+    draws = [sample_uniform_gluing(300, gen) for _ in range(200)]
+    counts = _orbit_counts(np.array([g.partner for g in draws]) - 1)
+    assert counts.tolist() == [len(vertex_cycles(g)) for g in draws]
 
 
 def test_adjacency_k4():

@@ -11,7 +11,6 @@ from onefacemaps import (
     closed_walk_counts,
     degree_distribution,
     genus,
-    gluing_from_permutation,
     is_bipartite,
     is_noncrossing,
     sample_ncpp,
