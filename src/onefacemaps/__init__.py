@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 # public name -> the submodule that defines it
 _SOURCE = {
-    "AdjacencyMatrix": "spectra",
     "EnsembleRecord": "mapcore",
     "FilteredSample": "samplers",
     "Gluing": "mapcore",

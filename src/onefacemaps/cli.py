@@ -20,7 +20,7 @@ import sys
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import counting, topology
-from .errors import BudgetExhaustedError, EmptyEnsembleError, OutOfRangeError
+from .errors import BudgetExhaustedError
 from .mapcore import EnsembleRecord, Gluing, build_adjacency, read_records, write_records
 
 if TYPE_CHECKING:
@@ -57,7 +57,7 @@ def _write_ensemble(path: str | None, gluings: Iterable[Gluing], seed: int) -> N
 def _read_ensemble(path: str) -> list[EnsembleRecord]:
     records = read_records(path)
     if not records:
-        raise EmptyEnsembleError("ensemble file has no records")
+        raise ValueError("ensemble file has no records")
     return records
 
 
@@ -87,17 +87,17 @@ def cmd_generate(args) -> int:
     from . import samplers
 
     if args.samples < 1:
-        raise OutOfRangeError("need --samples >= 1")
+        raise ValueError("need --samples >= 1")
     if args.n < 1:
-        raise OutOfRangeError("need --n >= 1")
+        raise ValueError("need --n >= 1")
     if args.sampler == "genus-filtered":
         if args.genus is None:
-            raise OutOfRangeError("--genus is required with --sampler genus-filtered")
+            raise ValueError("--genus is required with --sampler genus-filtered")
         gluings = samplers.sample_genus_filtered(
             args.n, args.genus, args.budget, samplers.RngStream(args.seed, 0), num_samples=args.samples
         ).gluings
     elif args.genus is not None:
-        raise OutOfRangeError("--genus only applies to --sampler genus-filtered")
+        raise ValueError("--genus only applies to --sampler genus-filtered")
     else:
         draw = samplers.sample_uniform_gluing if args.sampler == "uniform" else samplers.sample_ncpp
         gluings = [draw(args.n, samplers.RngStream(args.seed, i)) for i in range(args.samples)]

@@ -15,8 +15,6 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator
 
-from .errors import OutOfRangeError
-
 
 def _harer_zagier_rows(g_max: int) -> Iterator[list[int]]:
     """Rows [ε_0(m), ..., ε_h(m)] with h = min(m // 2, g_max), for m = 0, 1, 2, ...
@@ -52,9 +50,9 @@ def _harer_zagier_row(n: int, g_max: int) -> list[int]:
 def harer_zagier(g: int, n: int) -> int:
     """Number of genus-g one-face maps with n edges, exactly."""
     if n < 1:
-        raise OutOfRangeError("need n >= 1")
+        raise ValueError("need n >= 1")
     if g < 0 or 2 * g > n:
-        raise OutOfRangeError(f"need 0 <= 2g <= n, got g={g}, n={n}")
+        raise ValueError(f"need 0 <= 2g <= n, got g={g}, n={n}")
     return _harer_zagier_row(n, g)[g]
 
 
@@ -64,5 +62,5 @@ def genus_distribution(n: int) -> list[int]:
     The entries sum to (2n-1)!!, the total number of gluings.
     """
     if n < 1:
-        raise OutOfRangeError("need n >= 1")
+        raise ValueError("need n >= 1")
     return _harer_zagier_row(n, n // 2)

@@ -1,28 +1,15 @@
-"""Exception types shared across the package."""
+"""The two exceptions that change what a caller does.
 
+Every rejected input, anywhere in the package, raises ``ValueError`` with a
+message that names the fault; the message, not a subclass, tells faults
+apart.  Only two failures are not rejected input, and each has a class:
 
-class GluingError(ValueError):
-    """A gluing violates one of its structural invariants."""
-
-
-class BadLengthError(GluingError):
-    """Partner table has odd length or does not match the declared size."""
-
-
-class NotInvolutionError(GluingError):
-    """partner[partner[i]] != i for some label, or a label is out of range."""
-
-
-class FixedPointError(GluingError):
-    """Some label is glued to itself."""
-
-
-class OutOfRangeError(ValueError):
-    """Argument lies outside the documented domain."""
-
-
-class TooLargeError(ValueError):
-    """Exhaustive enumeration requested beyond the guard size."""
+* ``BudgetExhaustedError``: the input was valid but rejection sampling ran
+  out of draws; it carries the partial sample, and the CLI exits 3 on it.
+* ``NoConvergenceError``: LAPACK failed on a valid matrix.  numpy's
+  ``LinAlgError`` subclasses ``ValueError``, so unwrapped it would read as
+  rejected input (CLI exit 2).
+"""
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -40,23 +27,3 @@ class BudgetExhaustedError(RuntimeError):
 
 class NoConvergenceError(RuntimeError):
     """Eigensolver hit its iteration cap on a symmetric input."""
-
-
-class EmptyEnsembleError(ValueError):
-    """Statistic requested over an empty collection of spectra."""
-
-
-class DegenerateSpectrumError(ValueError):
-    """All bulk spacings are zero; cannot scale to mean one."""
-
-
-class MixedSizesError(ValueError):
-    """Ensemble mixes spectra of different lengths."""
-
-
-class EmptySampleError(ValueError):
-    """Distance requested for an empty sample."""
-
-
-class ParseError(ValueError):
-    """Ensemble file line could not be parsed."""

@@ -22,17 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import (
-    BadLengthError,
-    FixedPointError,
-    NotInvolutionError,
-    ParseError,
-)
-
 if TYPE_CHECKING:
     import numpy as np
-
-    from .spectra import AdjacencyMatrix
 
 
 @dataclass(frozen=True)
@@ -41,8 +32,8 @@ class Gluing:
 
     ``partner[i - 1]`` is the label glued to label ``i``.  Instances are
     immutable and hashable, and are checked when they are built, so every
-    ``Gluing`` that exists is valid: a violated invariant raises the
-    GluingError subclass that names the first one.
+    ``Gluing`` that exists is valid: a violated invariant raises a
+    ValueError that names the first one.
     """
 
     n: int
@@ -51,16 +42,16 @@ class Gluing:
     def __post_init__(self):
         two_n = len(self.partner)
         if two_n % 2 != 0 or two_n == 0 or two_n != 2 * self.n:
-            raise BadLengthError(
+            raise ValueError(
                 f"partner table must have length 2n = {2 * self.n}, got {two_n}"
             )
         for i, p in enumerate(self.partner, start=1):
             if not 1 <= p <= two_n:
-                raise NotInvolutionError(f"partner of {i} is {p}, outside 1..{two_n}")
+                raise ValueError(f"partner of {i} is {p}, outside 1..{two_n}")
             if p == i:
-                raise FixedPointError(f"label {i} is glued to itself")
+                raise ValueError(f"label {i} is glued to itself")
             if self.partner[p - 1] != i:
-                raise NotInvolutionError(
+                raise ValueError(
                     f"partner[{p}] = {self.partner[p - 1]} but partner[{i}] = {p}"
                 )
 
@@ -86,7 +77,7 @@ def _conjugate(perms: np.ndarray) -> np.ndarray:
     return inverse[rows, perms ^ 1]
 
 
-def _parity_blocks_vanish(a: AdjacencyMatrix) -> bool:
+def _parity_blocks_vanish(a: np.ndarray) -> bool:
     """True iff no entry joins two labels of the same parity.
 
     Then the rows and columns split into odd and even labels, and ``a`` is
@@ -141,7 +132,7 @@ def _orbit_counts(mates: np.ndarray) -> np.ndarray:
     return np.count_nonzero(low.reshape(rows, two_n) == flat, axis=1)
 
 
-def build_adjacency(g: Gluing) -> AdjacencyMatrix:
+def build_adjacency(g: Gluing) -> np.ndarray:
     """Adjacency matrix of the 2n-cycle plus the glued matching.
 
     Entries count edges, so a glued pair that coincides with a cycle edge
@@ -192,13 +183,13 @@ class EnsembleRecord:
 
         ``n``, ``genus``, ``seed``, ``sample_index`` and every entry of the
         list ``partner`` must be JSON integers; anything else, or an
-        invalid gluing, raises ParseError.
+        invalid gluing, raises ValueError.
         """
         try:
             obj = json.loads(line)
             partner = obj["partner"]
             if not isinstance(partner, list):
-                raise ParseError(f"partner must be a JSON list, got {json.dumps(partner)}")
+                raise ValueError(f"partner must be a JSON list, got {json.dumps(partner)}")
             gluing = Gluing(
                 n=_json_int(obj["n"], "n"),
                 partner=tuple(_json_int(p, "partner entry") for p in partner),
@@ -210,13 +201,13 @@ class EnsembleRecord:
                 sample_index=_json_int(obj["sample_index"], "sample_index"),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad ensemble record: {exc}") from exc
+            raise ValueError(f"bad ensemble record: {exc}") from exc
 
 
 def _json_int(value, field: str) -> int:
     # bool is an int subclass, and int() would also take "2", 2.9 or true
     if type(value) is not int:
-        raise ParseError(f"{field} must be a JSON integer, got {json.dumps(value)}")
+        raise ValueError(f"{field} must be a JSON integer, got {json.dumps(value)}")
     return value
 
 
@@ -233,12 +224,12 @@ def write_records(path, records: Iterable[EnsembleRecord]) -> None:
 def _checked_record(line: str, line_no: int) -> EnsembleRecord:
     try:
         rec = EnsembleRecord.from_json(line)
-    except ParseError as exc:
-        raise ParseError(f"record on line {line_no}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"record on line {line_no}: {exc}") from exc
     # Euler's formula for one face: 2g = n + 1 - V
     handles_twice = rec.n + 1 - len(vertex_cycles(rec.gluing))
     if 2 * rec.genus != handles_twice:
-        raise ParseError(
+        raise ValueError(
             f"record on line {line_no} stores genus {rec.genus}, "
             f"its gluing has genus {handles_twice // 2}"
         )
@@ -248,7 +239,7 @@ def _checked_record(line: str, line_no: int) -> EnsembleRecord:
 def read_records(path) -> list[EnsembleRecord]:
     """Read a JSON-lines ensemble file.
 
-    Raises ParseError naming the line of the first record that does not
+    Raises ValueError naming the line of the first record that does not
     parse, has a field that is not a JSON integer, has an invalid gluing
     (including ``n`` not matching the partner table), or stores a genus
     that differs from its gluing's.

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetExhaustedError, OutOfRangeError, TooLargeError
+from .errors import BudgetExhaustedError
 from .mapcore import Gluing, _conjugate, _orbit_counts
 
 ENUMERATE_ALL_MAX = 8  # (2n-1)!! past this is unreasonable to stream
@@ -44,9 +44,9 @@ class RngStream:
 
     def __post_init__(self):
         if not 0 <= self.master_seed < 2**64:
-            raise OutOfRangeError("master_seed must be a 64-bit unsigned integer")
+            raise ValueError("master_seed must be a 64-bit unsigned integer")
         if self.stream_index < 0:
-            raise OutOfRangeError("stream_index must be non-negative")
+            raise ValueError("stream_index must be non-negative")
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=(self.master_seed, self.stream_index))
@@ -69,7 +69,7 @@ def _gluing(mates: np.ndarray) -> Gluing:
 def sample_uniform_gluing(n: int, rng) -> Gluing:
     """One gluing uniform over all (2n-1)!! perfect matchings."""
     if n < 1:
-        raise OutOfRangeError("need n >= 1")
+        raise ValueError("need n >= 1")
     gen = _as_generator(rng)
     return _gluing(_conjugate(gen.permutation(2 * n)[None])[0])
 
@@ -100,7 +100,7 @@ def _noncrossing_partner(up: np.ndarray) -> np.ndarray:
 def sample_ncpp(n: int, rng) -> Gluing:
     """One non-crossing gluing, exactly uniform over the C_n possibilities."""
     if n < 1:
-        raise OutOfRangeError("need n >= 1")
+        raise ValueError("need n >= 1")
     gen = _as_generator(rng)
     up = gen.permutation(2 * n + 1) < n  # n up-steps at uniform positions
     return Gluing(n=n, partner=tuple(_noncrossing_partner(up).tolist()))
@@ -112,9 +112,9 @@ def enumerate_all_gluings(n: int) -> Iterator[Gluing]:
     ``n`` is checked when the function is called, before the first item.
     """
     if n < 1:
-        raise OutOfRangeError("need n >= 1")
+        raise ValueError("need n >= 1")
     if n > ENUMERATE_ALL_MAX:
-        raise TooLargeError(f"exhaustive enumeration capped at n = {ENUMERATE_ALL_MAX}")
+        raise ValueError(f"exhaustive enumeration capped at n = {ENUMERATE_ALL_MAX}")
     partner = [0] * (2 * n)
 
     def fill() -> Iterator[None]:
@@ -140,9 +140,9 @@ def enumerate_ncpp(n: int) -> Iterator[Gluing]:
     ``n`` is checked when the function is called, before the first item.
     """
     if n < 1:
-        raise OutOfRangeError("need n >= 1")
+        raise ValueError("need n >= 1")
     if n > ENUMERATE_NCPP_MAX:
-        raise TooLargeError(f"non-crossing enumeration capped at n = {ENUMERATE_NCPP_MAX}")
+        raise ValueError(f"non-crossing enumeration capped at n = {ENUMERATE_NCPP_MAX}")
     partner = [0] * (2 * n)
 
     def fill(first: int, k: int) -> Iterator[None]:
@@ -178,8 +178,8 @@ def sample_genus_filtered(
 
     Draws uniform gluings and keeps those whose map has the target genus;
     the kept sample is uniform over genus-target maps.  Stops early once
-    ``num_samples`` maps are kept; with ``num_samples=None`` the whole
-    budget is spent and everything found is returned.  Raises
+    ``num_samples`` (at least 1) maps are kept; with ``num_samples=None``
+    the whole budget is spent and everything found is returned.  Raises
     BudgetExhaustedError (carrying the partial sample) if the budget ends
     before the request is met, or with nothing found.
 
@@ -194,12 +194,14 @@ def sample_genus_filtered(
     so no draw past the one that meets the request is made.
     """
     if not 0 <= target_genus <= n // 2:
-        raise OutOfRangeError(f"target genus must lie in 0..{n // 2}, got {target_genus}")
+        raise ValueError(f"target genus must lie in 0..{n // 2}, got {target_genus}")
     if max_attempts < 1:
-        raise OutOfRangeError("need max_attempts >= 1")
+        raise ValueError("need max_attempts >= 1")
+    if num_samples is not None and num_samples < 1:
+        raise ValueError("need num_samples >= 1")
     gen = _as_generator(rng)
     if n < 1:
-        raise OutOfRangeError("need n >= 1")
+        raise ValueError("need n >= 1")
     two_n = 2 * n
     vertices = n + 1 - 2 * target_genus  # Euler's formula for one face
     kept: list[Gluing] = []
@@ -208,7 +210,7 @@ def sample_genus_filtered(
         size = min(max(1, _FILTER_BATCH_LABELS // two_n), max_attempts - attempts)
         if num_samples is not None:
             # a draw keeps at most one map: the request is met at the batch's last draw or later
-            size = min(size, max(1, num_samples - len(kept)))
+            size = min(size, num_samples - len(kept))
         mates = _conjugate(np.stack([gen.permutation(two_n) for _ in range(size)]))
         for i in np.flatnonzero(_orbit_counts(mates) == vertices).tolist():
             kept.append(_gluing(mates[i]))

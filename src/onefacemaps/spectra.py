@@ -22,10 +22,6 @@ import numpy as np
 from .errors import NoConvergenceError
 from .mapcore import _parity_blocks_vanish
 
-# Dense symmetric table of small non-negative integers, shape (2N, 2N),
-# as ``mapcore.build_adjacency`` returns it.
-AdjacencyMatrix = np.ndarray
-
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
@@ -42,8 +38,8 @@ class Spectrum:
         return len(self.values)
 
 
-def eigenvalues_symmetric(a: AdjacencyMatrix) -> Spectrum:
-    """All eigenvalues of a symmetric matrix of even size, ascending.
+def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:
+    """All eigenvalues of a symmetric matrix of even size 2n >= 2, ascending.
 
     If both parity blocks ``a[0::2, 0::2]`` and ``a[1::2, 1::2]`` are zero,
     the values are ``-s`` and ``s`` for the singular values ``s`` of
@@ -54,6 +50,8 @@ def eigenvalues_symmetric(a: AdjacencyMatrix) -> Spectrum:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError("map adjacency matrices have 2n >= 2 rows, got an empty matrix")
     if a.shape[0] % 2 != 0:
         raise ValueError("map adjacency matrices have even size 2n")
     if not np.array_equal(a, a.T):

@@ -16,12 +16,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrumError,
-    EmptyEnsembleError,
-    EmptySampleError,
-    MixedSizesError,
-)
 from .spectra import Spectrum
 
 DENSITY_SUPPORT = (-3.0, 3.0)
@@ -93,7 +87,7 @@ def _pooled_histogram(
     counts, edges = np.histogram(values, bins=bins, range=support)
     in_range = counts.sum()
     if in_range == 0:
-        raise EmptyEnsembleError("no values fall inside the histogram support")
+        raise ValueError("no values fall inside the histogram support")
     densities = counts / (in_range * np.diff(edges))
     return HistogramDensity(bin_edges=edges, densities=densities, sample_count=values.size)
 
@@ -102,7 +96,7 @@ def empirical_density(spectra: Iterable[Spectrum], bins: int = DEFAULT_BINS) -> 
     """Area-normalized histogram of all eigenvalues pooled over an ensemble."""
     spectra = list(spectra)
     if not spectra:
-        raise EmptyEnsembleError("empty ensemble")
+        raise ValueError("empty ensemble")
     values = np.concatenate([np.asarray(s.values, dtype=np.float64) for s in spectra])
     # snap round-off dust at the spectral edges back into range
     lo, hi = DENSITY_SUPPORT
@@ -123,7 +117,7 @@ def bulk_spacings(spectrum: Spectrum, bulk_fraction: float = DEFAULT_BULK_FRACTI
     diffs = np.diff(bulk)
     mean = diffs.mean()
     if mean <= 0.0:
-        raise DegenerateSpectrumError("all bulk spacings are zero")
+        raise ValueError("all bulk spacings are zero")
     return diffs / mean
 
 
@@ -142,7 +136,7 @@ def pooled_bulk_spacings(
     """All per-graph scaled bulk spacings of an ensemble, concatenated."""
     spectra = list(spectra)
     if not spectra:
-        raise EmptyEnsembleError("empty ensemble")
+        raise ValueError("empty ensemble")
     return np.concatenate([bulk_spacings(s, bulk_fraction) for s in spectra])
 
 
@@ -150,10 +144,10 @@ def mean_jth_spacing(spectra: Iterable[Spectrum]) -> np.ndarray:
     """Ensemble mean of the j-th raw spacing, j = 1..2n-1 (unscaled)."""
     spectra = list(spectra)
     if not spectra:
-        raise EmptyEnsembleError("empty ensemble")
+        raise ValueError("empty ensemble")
     sizes = {len(s.values) for s in spectra}
     if len(sizes) != 1:
-        raise MixedSizesError(f"spectra of mixed lengths: {sorted(sizes)}")
+        raise ValueError(f"spectra of mixed lengths: {sorted(sizes)}")
     stacked = np.stack([np.asarray(s.values, dtype=np.float64) for s in spectra])
     return np.diff(stacked, axis=1).mean(axis=0)
 
@@ -162,7 +156,7 @@ def ks_distance(samples: Sequence[float], cdf: Callable) -> float:
     """Sup-distance between the empirical CDF of samples and a reference CDF."""
     x = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     if x.size == 0:
-        raise EmptySampleError("empty sample")
+        raise ValueError("empty sample")
     ref = np.asarray(cdf(x), dtype=np.float64)
     steps = np.arange(1, x.size + 1) / x.size
     return float(max((steps - ref).max(), (ref - steps + 1.0 / x.size).max()))

@@ -13,11 +13,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING
 
-from .errors import OutOfRangeError
 from .mapcore import Gluing, _parity_blocks_vanish, build_adjacency, vertex_cycles
 
 if TYPE_CHECKING:
-    from .spectra import AdjacencyMatrix
+    import numpy as np
 
 # entries of A^r are bounded by 3^r; int64 is exact up to this cap
 MAX_WALK_LENGTH = 20
@@ -44,10 +43,10 @@ def is_noncrossing(g: Gluing) -> bool:
     return not stack
 
 
-def is_bipartite(a: AdjacencyMatrix) -> bool:
+def is_bipartite(a: np.ndarray) -> bool:
     """True iff the graph of a map adjacency matrix admits a 2-coloring.
 
-    ``a`` must be square of even size 2n and contain the spanning cycle
+    ``a`` must be square of even size 2n >= 2 and contain the spanning cycle
     0-1-...-(2n-1)-0 of every map graph; otherwise ValueError.  That even
     cycle forces the coloring by label parity, so the graph is bipartite
     exactly when no entry joins two labels of the same parity: one
@@ -58,6 +57,8 @@ def is_bipartite(a: AdjacencyMatrix) -> bool:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0:
         raise ValueError(f"expected a square matrix of even size, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError("map adjacency matrices have 2n >= 2 rows, got an empty matrix")
     two_n = a.shape[0]
     idx = np.arange(two_n)
     succ = (idx + 1) % two_n
@@ -87,9 +88,9 @@ def closed_walk_counts(g: Gluing, r_max: int) -> list[int]:
     import numpy as np
 
     if r_max < 1:
-        raise OutOfRangeError("need r_max >= 1")
+        raise ValueError("need r_max >= 1")
     if r_max > MAX_WALK_LENGTH:
-        raise OutOfRangeError(
+        raise ValueError(
             f"r_max = {r_max} exceeds the exact-arithmetic cap {MAX_WALK_LENGTH}"
         )
     mate = np.asarray(g.partner, dtype=np.int64) - 1

@@ -373,3 +373,47 @@ def test_empty_ensemble_is_validation_error(command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: ensemble file has no records\n"
     assert captured.out == ""
+
+
+_RECORD = '{{"n":{n},"partner":{partner},"genus":{genus},"seed":0,"sample_index":0}}\n'
+_N2 = _RECORD.format(n=2, partner=[2, 1, 4, 3], genus=0)
+_N3 = _RECORD.format(n=3, partner=[2, 1, 4, 3, 6, 5], genus=0)
+_TORUS_AS_SPHERE = _RECORD.format(n=2, partner=[3, 4, 1, 2], genus=0)
+
+
+# every validation failure: (argv, ensemble file contents, exit code, the one stderr line)
+@pytest.mark.parametrize(
+    "argv, ensemble, code, err",
+    [
+        (["generate", "--n", 10, "--samples", 0], None, 2, "need --samples >= 1"),
+        (["generate", "--n", 0, "--samples", 1], None, 2, "need --n >= 1"),
+        (["generate", "--sampler", "genus-filtered", "--n", 10, "--samples", 1], None, 2,
+         "--genus is required with --sampler genus-filtered"),
+        (["generate", "--n", 10, "--samples", 1, "--genus", 2], None, 2,
+         "--genus only applies to --sampler genus-filtered"),
+        (["count", 3, 4], None, 2, "need 0 <= 2g <= n, got g=3, n=4"),
+        (["table", 0], None, 2, "need n >= 1"),
+        (["enumerate", "--n", 9], None, 2, "exhaustive enumeration capped at n = 8"),
+        (["walks", "{ens}", "--rmax", 21], _N2, 2,
+         "r_max = 21 exceeds the exact-arithmetic cap 20"),
+        (["spacings", "{ens}", "--bulk-fraction", 1.5], _N2, 2,
+         "bulk_fraction must lie in (0, 1], got 1.5"),
+        (["meanjth", "{ens}"], _N2 + _N3, 2, "spectra of mixed lengths: [4, 6]"),
+        (["density", "{ens}"], "", 2, "ensemble file has no records"),
+        (["genus", "{ens}"], _TORUS_AS_SPHERE, 2,
+         "record on line 1 stores genus 0, its gluing has genus 1"),
+        (["generate", "--sampler", "genus-filtered", "--n", 50, "--samples", 1, "--genus", 0,
+          "--budget", 50, "--seed", 3], None, 3,
+         "found 0 genus-0 maps in 50 draws, wanted 1 maps"),
+    ],
+    ids=["samples0", "n0", "no-genus", "stray-genus", "count", "table", "enumerate", "walks",
+         "spacings", "meanjth-mixed", "empty", "wrong-genus", "budget"],
+)
+def test_error_contract(argv, ensemble, code, err, tmp_path, capsys):
+    ens = tmp_path / "ens.jsonl"
+    if ensemble is not None:
+        ens.write_text(ensemble)
+    assert run(*(str(a).format(ens=ens) for a in argv)) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err}\n"
+    assert captured.out == ""

@@ -18,7 +18,7 @@ from onefacemaps import (
     sample_ncpp,
     sample_uniform_gluing,
 )
-from onefacemaps.errors import BudgetExhaustedError, OutOfRangeError, TooLargeError
+from onefacemaps.errors import BudgetExhaustedError
 from onefacemaps.samplers import _noncrossing_partner
 
 
@@ -35,11 +35,11 @@ def test_rng_streams_differ_across_indices():
 
 
 def test_rng_stream_validation():
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(ValueError, match="master_seed must be a 64-bit unsigned integer"):
         RngStream(-1)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(ValueError, match="master_seed must be a 64-bit unsigned integer"):
         RngStream(2**64)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(ValueError, match="stream_index must be non-negative"):
         RngStream(0, -1)
 
 
@@ -125,7 +125,7 @@ def test_enumerate_all_matches_oracle(n):
 
 
 def test_enumerate_all_guard():
-    with pytest.raises(TooLargeError):
+    with pytest.raises(ValueError, match="exhaustive enumeration capped at n = 8"):
         next(enumerate_all_gluings(9))
 
 
@@ -144,7 +144,7 @@ def test_enumerate_ncpp_equals_filtered_enumeration(n):
 
 
 def test_enumerate_ncpp_guard():
-    with pytest.raises(TooLargeError):
+    with pytest.raises(ValueError, match="non-crossing enumeration capped at n = 14"):
         next(enumerate_ncpp(15))
 
 
@@ -178,8 +178,17 @@ def test_genus_filtered_partial_results_attached():
 
 
 def test_genus_filtered_target_validation():
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(ValueError, match=r"target genus must lie in 0\.\.2, got 3"):
         sample_genus_filtered(4, 3, 10, RngStream(0))
+
+
+@pytest.mark.parametrize("num_samples", [0, -3])
+def test_genus_filtered_rejects_num_samples_below_one(num_samples):
+    gen = RngStream(1).generator()
+    before = gen.bit_generator.state
+    with pytest.raises(ValueError, match="need num_samples >= 1"):
+        sample_genus_filtered(4, 0, 100, gen, num_samples=num_samples)
+    assert gen.bit_generator.state == before  # rejected before any draw
 
 
 def _filtered_outcome(sampler, n, target, budget, rng, num_samples):

@@ -87,9 +87,14 @@ def test_determinism_bitwise():
 
 
 def test_rejects_nonsymmetric_and_odd_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix must be symmetric"):
         eigenvalues_symmetric(np.array([[0, 1], [2, 0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="map adjacency matrices have even size 2n"):
         eigenvalues_symmetric(np.zeros((3, 3), dtype=np.int64))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected a square matrix"):
         eigenvalues_symmetric(np.zeros((2, 4), dtype=np.int64))
+
+
+def test_rejects_the_empty_matrix():
+    with pytest.raises(ValueError, match="got an empty matrix"):
+        eigenvalues_symmetric(np.zeros((0, 0), dtype=np.int64))

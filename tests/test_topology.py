@@ -17,7 +17,6 @@ from onefacemaps import (
     sample_uniform_gluing,
     vertex_cycles,
 )
-from onefacemaps.errors import OutOfRangeError
 
 TORUS = Gluing.from_partner([3, 4, 1, 2])  # opposite-edge square gluing
 PATH2 = Gluing.from_partner([2, 1, 4, 3])  # two nested arcs, a path of length 2
@@ -104,10 +103,15 @@ def test_is_bipartite_agrees_with_bfs_oracle_on_large_maps():
 
 
 def test_is_bipartite_rejects_matrices_without_the_spanning_cycle():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lacks the spanning cycle of a map graph"):
         is_bipartite(np.zeros((4, 4), dtype=np.int64))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected a square matrix of even size"):
         is_bipartite(np.zeros((3, 3), dtype=np.int64))
+
+
+def test_is_bipartite_rejects_the_empty_matrix():
+    with pytest.raises(ValueError, match="got an empty matrix"):
+        is_bipartite(np.zeros((0, 0), dtype=np.int64))
 
 
 def test_noncrossing_graphs_are_bipartite():
@@ -171,9 +175,9 @@ def test_first_walk_count_is_zero_and_w2_is_six_n():
 
 
 def test_walk_length_caps():
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(ValueError, match="need r_max >= 1"):
         closed_walk_counts(PATH2, 0)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(ValueError, match="r_max = 21 exceeds the exact-arithmetic cap 20"):
         closed_walk_counts(PATH2, 21)
 
 
