@@ -28,8 +28,8 @@ _SOURCE = {
     "closed_walk_counts": "topology",
     "degree_distribution": "topology",
     "empirical_density": "stats",
-    "enumerate_all_gluings": "samplers",
-    "enumerate_ncpp": "samplers",
+    "enumerate_all_gluings": "counting",
+    "enumerate_ncpp": "counting",
     "eigenvalues_symmetric": "spectra",
     "exponential_cdf": "stats",
     "exponential_density": "stats",

@@ -7,8 +7,8 @@ exhausted, 4 I/O error.  A reader that closes standard output early
 (``| head``) ends the command quietly with exit 0.
 
 The array modules (``samplers``, ``spectra``, ``stats``) are imported by
-the commands that use them, so ``count``, ``table``, ``genus`` and
-``degrees`` run without importing numpy.
+the commands that use them, so ``enumerate``, ``count``, ``table``,
+``genus`` and ``degrees`` run without importing numpy.
 """
 
 from __future__ import annotations
@@ -90,6 +90,10 @@ def cmd_generate(args) -> int:
         raise ValueError("need --samples >= 1")
     if args.n < 1:
         raise ValueError("need --n >= 1")
+    if args.budget < 1:
+        raise ValueError("need --budget >= 1")
+    if not 0 <= args.seed < 2**64:
+        raise ValueError("need 0 <= --seed < 2**64")
     if args.sampler == "genus-filtered":
         if args.genus is None:
             raise ValueError("--genus is required with --sampler genus-filtered")
@@ -106,10 +110,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from . import samplers
-
     stream = (
-        samplers.enumerate_ncpp(args.n) if args.kind == "ncpp" else samplers.enumerate_all_gluings(args.n)
+        counting.enumerate_ncpp(args.n) if args.kind == "ncpp" else counting.enumerate_all_gluings(args.n)
     )
     _write_ensemble(args.out, stream, 0)
     return EXIT_OK
@@ -141,7 +143,7 @@ def cmd_density(args) -> int:
 
     bins = stats.DEFAULT_BINS if args.bins is None else args.bins
     hist = stats.empirical_density(_spectra(_read_ensemble(args.ensemble)), bins=bins)
-    mckay = stats.mckay_density(hist.bin_centers, k=3)
+    mckay = stats.mckay_density(hist.bin_centers)
     rows = (tuple(map(_fmt, row)) for row in zip(hist.bin_centers, hist.densities, mckay))
     _write_table(args.out, "csv", ("bin_center", "density", "mckay"), rows)
     return EXIT_OK

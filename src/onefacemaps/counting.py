@@ -1,8 +1,8 @@
-"""Exact combinatorics of gluings: the number of maps of each genus.
+"""Exact combinatorics of gluings: maps counted by genus, and listed for small n.
 
-Everything here is integer arithmetic.  The number ε_g(n) of genus-g
-one-face maps with n edges follows the Harer–Zagier recurrence
-(Harer and Zagier, Invent. Math. 85, 1986)
+Everything here is integer arithmetic, and numpy is never imported.  The
+number ε_g(n) of genus-g one-face maps with n edges follows the
+Harer–Zagier recurrence (Harer and Zagier, Invent. Math. 85, 1986)
 
     (n+1) ε_g(n) = 2(2n-1) ε_g(n-1) + (n-1)(2n-1)(2n-3) ε_{g-1}(n-2)
 
@@ -14,6 +14,11 @@ from __future__ import annotations
 
 from itertools import islice
 from typing import Iterator
+
+from .mapcore import Gluing
+
+ENUMERATE_ALL_MAX = 8  # (2n-1)!! past this is unreasonable to stream
+ENUMERATE_NCPP_MAX = 14  # C_14 = 2674440
 
 
 def _harer_zagier_rows(g_max: int) -> Iterator[list[int]]:
@@ -64,3 +69,56 @@ def genus_distribution(n: int) -> list[int]:
     if n < 1:
         raise ValueError("need n >= 1")
     return _harer_zagier_row(n, n // 2)
+
+
+def enumerate_all_gluings(n: int) -> Iterator[Gluing]:
+    """All (2n-1)!! gluings, each exactly once, in deterministic order.
+
+    ``n`` is checked when the function is called, before the first item.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > ENUMERATE_ALL_MAX:
+        raise ValueError(f"exhaustive enumeration capped at n = {ENUMERATE_ALL_MAX}")
+    partner = [0] * (2 * n)
+
+    def fill() -> Iterator[None]:
+        try:
+            i = partner.index(0)
+        except ValueError:
+            yield None
+            return
+        for j in range(i + 1, 2 * n):
+            if partner[j] == 0:
+                partner[i] = j + 1
+                partner[j] = i + 1
+                yield from fill()
+                partner[i] = 0
+                partner[j] = 0
+
+    return (Gluing(n=n, partner=tuple(partner)) for _ in fill())
+
+
+def enumerate_ncpp(n: int) -> Iterator[Gluing]:
+    """All C_n non-crossing gluings, each exactly once, deterministic order.
+
+    ``n`` is checked when the function is called, before the first item.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > ENUMERATE_NCPP_MAX:
+        raise ValueError(f"non-crossing enumeration capped at n = {ENUMERATE_NCPP_MAX}")
+    partner = [0] * (2 * n)
+
+    def fill(first: int, k: int) -> Iterator[None]:
+        if k == 0:
+            yield None
+            return
+        for m in range(1, k + 1):
+            mate = first + 2 * m - 1
+            partner[first - 1] = mate
+            partner[mate - 1] = first
+            for _ in fill(first + 1, m - 1):
+                yield from fill(mate + 1, k - m)
+
+    return (Gluing(n=n, partner=tuple(partner)) for _ in fill(1, n))

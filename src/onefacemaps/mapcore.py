@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,12 +40,17 @@ class Gluing:
     partner: tuple[int, ...]
 
     def __post_init__(self):
+        # exact ints only: a bool, float, str or numpy integer makes a record read_records refuses
+        if type(self.n) is not int:
+            raise ValueError(f"n must be an int, got {self.n!r}")
         two_n = len(self.partner)
         if two_n % 2 != 0 or two_n == 0 or two_n != 2 * self.n:
             raise ValueError(
                 f"partner table must have length 2n = {2 * self.n}, got {two_n}"
             )
         for i, p in enumerate(self.partner, start=1):
+            if type(p) is not int:
+                raise ValueError(f"partner of {i} must be an int, got {p!r}")
             if not 1 <= p <= two_n:
                 raise ValueError(f"partner of {i} is {p}, outside 1..{two_n}")
             if p == i:
@@ -54,11 +59,6 @@ class Gluing:
                 raise ValueError(
                     f"partner[{p}] = {self.partner[p - 1]} but partner[{i}] = {p}"
                 )
-
-    @classmethod
-    def from_partner(cls, partner: Sequence[int]) -> "Gluing":
-        partner = tuple(int(p) for p in partner)
-        return cls(n=len(partner) // 2, partner=partner)
 
 
 def _conjugate(perms: np.ndarray) -> np.ndarray:
@@ -226,12 +226,12 @@ def _checked_record(line: str, line_no: int) -> EnsembleRecord:
         rec = EnsembleRecord.from_json(line)
     except ValueError as exc:
         raise ValueError(f"record on line {line_no}: {exc}") from exc
-    # Euler's formula for one face: 2g = n + 1 - V
-    handles_twice = rec.n + 1 - len(vertex_cycles(rec.gluing))
-    if 2 * rec.genus != handles_twice:
+    from . import topology  # imports this module, so it cannot be imported at its top
+
+    actual = topology.genus(rec.gluing)
+    if rec.genus != actual:
         raise ValueError(
-            f"record on line {line_no} stores genus {rec.genus}, "
-            f"its gluing has genus {handles_twice // 2}"
+            f"record on line {line_no} stores genus {rec.genus}, its gluing has genus {actual}"
         )
     return rec
 

@@ -1,4 +1,4 @@
-"""Random and exhaustive generation of gluings.
+"""Random draws of gluings; exhaustive listing lives in ``counting``.
 
 Uniform gluings are drawn by pushing uniform random permutations through
 ``mapcore``'s conjugation kernel (every matching has 2^n n! permutation
@@ -18,15 +18,12 @@ only; every non-crossing pairing comes out with probability exactly
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .errors import BudgetExhaustedError
 from .mapcore import Gluing, _conjugate, _orbit_counts
 
-ENUMERATE_ALL_MAX = 8  # (2n-1)!! past this is unreasonable to stream
-ENUMERATE_NCPP_MAX = 14  # C_14 = 2674440
 # labels (draws x 2n) whose orbits one batch of genus filtering counts at once
 _FILTER_BATCH_LABELS = 1 << 16
 
@@ -106,59 +103,6 @@ def sample_ncpp(n: int, rng) -> Gluing:
     return Gluing(n=n, partner=tuple(_noncrossing_partner(up).tolist()))
 
 
-def enumerate_all_gluings(n: int) -> Iterator[Gluing]:
-    """All (2n-1)!! gluings, each exactly once, in deterministic order.
-
-    ``n`` is checked when the function is called, before the first item.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > ENUMERATE_ALL_MAX:
-        raise ValueError(f"exhaustive enumeration capped at n = {ENUMERATE_ALL_MAX}")
-    partner = [0] * (2 * n)
-
-    def fill() -> Iterator[None]:
-        try:
-            i = partner.index(0)
-        except ValueError:
-            yield None
-            return
-        for j in range(i + 1, 2 * n):
-            if partner[j] == 0:
-                partner[i] = j + 1
-                partner[j] = i + 1
-                yield from fill()
-                partner[i] = 0
-                partner[j] = 0
-
-    return (Gluing(n=n, partner=tuple(partner)) for _ in fill())
-
-
-def enumerate_ncpp(n: int) -> Iterator[Gluing]:
-    """All C_n non-crossing gluings, each exactly once, deterministic order.
-
-    ``n`` is checked when the function is called, before the first item.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > ENUMERATE_NCPP_MAX:
-        raise ValueError(f"non-crossing enumeration capped at n = {ENUMERATE_NCPP_MAX}")
-    partner = [0] * (2 * n)
-
-    def fill(first: int, k: int) -> Iterator[None]:
-        if k == 0:
-            yield None
-            return
-        for m in range(1, k + 1):
-            mate = first + 2 * m - 1
-            partner[first - 1] = mate
-            partner[mate - 1] = first
-            for _ in fill(first + 1, m - 1):
-                yield from fill(mate + 1, k - m)
-
-    return (Gluing(n=n, partner=tuple(partner)) for _ in fill(1, n))
-
-
 @dataclass(frozen=True)
 class FilteredSample:
     """Maps kept by genus filtering plus the number of draws spent."""
@@ -193,6 +137,8 @@ def sample_genus_filtered(
     never holds more draws than the maps still wanted or the budget left,
     so no draw past the one that meets the request is made.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if not 0 <= target_genus <= n // 2:
         raise ValueError(f"target genus must lie in 0..{n // 2}, got {target_genus}")
     if max_attempts < 1:
@@ -200,8 +146,6 @@ def sample_genus_filtered(
     if num_samples is not None and num_samples < 1:
         raise ValueError("need num_samples >= 1")
     gen = _as_generator(rng)
-    if n < 1:
-        raise ValueError("need n >= 1")
     two_n = 2 * n
     vertices = n + 1 - 2 * target_genus  # Euler's formula for one face
     kept: list[Gluing] = []

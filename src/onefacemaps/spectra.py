@@ -32,10 +32,6 @@ class Spectrum:
     """
 
     values: np.ndarray
-    n: int
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:
@@ -65,4 +61,4 @@ def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
     values.setflags(write=False)
-    return Spectrum(values=values, n=a.shape[0] // 2)
+    return Spectrum(values=values)

@@ -4,7 +4,7 @@ compared against.
 Densities are pooled area-normalized histograms.  Spacings are consecutive
 differences of the ordered eigenvalues over a central bulk window, scaled
 per graph to mean one before pooling; no further unfolding is applied.
-Reference curves: the limiting density of locally tree-like k-regular
+Reference curves: the limiting density of locally tree-like 3-regular
 graphs, the Wigner surmise (pi/2) s exp(-pi s^2/4) standing in for the GOE
 bulk spacing law, and the unit exponential.
 """
@@ -31,7 +31,6 @@ class HistogramDensity:
 
     bin_edges: np.ndarray
     densities: np.ndarray
-    sample_count: int
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -42,15 +41,13 @@ class HistogramDensity:
         return np.diff(self.bin_edges)
 
 
-def mckay_density(x, k: int = 3):
-    """Limiting eigenvalue density of large locally tree-like k-regular
-    graphs: k sqrt(4(k-1) - x^2) / (2 pi (k^2 - x^2)) on |x| <= 2 sqrt(k-1)."""
-    if k < 2:
-        raise ValueError("need k >= 2")
+def mckay_density(x):
+    """McKay's limiting eigenvalue density of large locally tree-like 3-regular
+    graphs, as every map graph is: 3 sqrt(8 - x^2) / (2 pi (9 - x^2)) on |x| <= 2 sqrt(2)."""
     x = np.asarray(x, dtype=np.float64)
-    radicand = 4.0 * (k - 1) - x * x
+    radicand = 8.0 - x * x
     with np.errstate(invalid="ignore", divide="ignore"):
-        raw = k * np.sqrt(np.maximum(radicand, 0.0)) / (2.0 * np.pi * (k * k - x * x))
+        raw = 3 * np.sqrt(np.maximum(radicand, 0.0)) / (2.0 * np.pi * (9 - x * x))
     out = np.where(radicand > 0.0, raw, 0.0)
     return out if out.ndim else float(out)
 
@@ -89,7 +86,7 @@ def _pooled_histogram(
     if in_range == 0:
         raise ValueError("no values fall inside the histogram support")
     densities = counts / (in_range * np.diff(edges))
-    return HistogramDensity(bin_edges=edges, densities=densities, sample_count=values.size)
+    return HistogramDensity(bin_edges=edges, densities=densities)
 
 
 def empirical_density(spectra: Iterable[Spectrum], bins: int = DEFAULT_BINS) -> HistogramDensity:

@@ -4,8 +4,8 @@ The glued surface's embedded graph has one vertex per orbit of the
 permutation "step to the next polygon label, then jump across the
 gluing".  With V such orbits, F = 1 face and E = N edges, Euler's formula
 gives genus (N + 1 - V) / 2.  The orbit walker ``vertex_cycles`` lives
-in ``mapcore``, whose record check on read uses it too, and is re-exported
-here.
+in ``mapcore`` and is re-exported here; ``mapcore``'s record check on
+read calls ``genus``.
 """
 
 from __future__ import annotations

@@ -25,8 +25,13 @@ from typing import Iterator
 
 import numpy as np
 
-from onefacemaps import FilteredSample, sample_uniform_gluing
+from onefacemaps import FilteredSample, Gluing, sample_uniform_gluing
 from onefacemaps.errors import BudgetExhaustedError
+
+
+def gluing(partner) -> Gluing:
+    """The gluing with this partner table, its n read off the length."""
+    return Gluing(n=len(partner) // 2, partner=tuple(partner))
 
 
 def catalan(n: int) -> int:

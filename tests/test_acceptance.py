@@ -168,7 +168,7 @@ def test_criterion_05_spectral_self_consistency():
 def test_criterion_06_mckay_density_reproduction(uniform_n300):
     _, spectra = uniform_n300
     hist = empirical_density(spectra, bins=BINS)
-    l1 = l1_histogram_distance(hist, lambda x: mckay_density(x, 3))
+    l1 = l1_histogram_distance(hist, mckay_density)
     assert l1 <= 0.06
     print(f"\n[criterion 06] PASS L1(300 uniform maps at 2N=600 vs f3) = {l1:.4f} <= 0.06")
 
@@ -228,7 +228,7 @@ def test_criterion_10_genus_filtered_reproduction():
     result = sample_genus_filtered(300, 147, 10_000, RngStream(147))
     assert len(result.gluings) >= 20
     hist = empirical_density(_spectra(result.gluings), bins=BINS)
-    l1 = l1_histogram_distance(hist, lambda x: mckay_density(x, 3))
+    l1 = l1_histogram_distance(hist, mckay_density)
     assert l1 <= 0.10
     print(
         f"\n[criterion 10] PASS {len(result.gluings)} genus-147 maps from "

@@ -127,7 +127,7 @@ def test_density_csv_with_reference_column(small_ensemble, tmp_path):
     assert rows[0] == "bin_center,density,mckay"
     assert len(rows) == 41
     centers, densities, refs = zip(*(map(float, r.split(",")) for r in rows[1:]))
-    assert np.allclose(refs, mckay_density(np.array(centers), 3), atol=1e-9)
+    assert np.allclose(refs, mckay_density(np.array(centers)), atol=1e-9)
     widths = 6.0 / 40
     assert abs(sum(d * widths for d in densities) - 1.0) < 1e-9
 
@@ -332,6 +332,10 @@ _INTEGER_COMMANDS = [
     ("genus_json", ["genus", "{d}/uni.jsonl", "--format", "json"]),
     ("degrees", ["degrees", "{d}/nc.jsonl", "--out", "{d}/degrees"]),
     ("degrees_json", ["degrees", "{d}/nc.jsonl", "--format", "json"]),
+    ("all5", ["enumerate", "--n", "5", "--out", "{d}/all5"]),
+    ("all5_stdout", ["enumerate", "--n", "5"]),
+    ("nc5", ["enumerate", "--n", "5", "--kind", "ncpp", "--out", "{d}/nc5"]),
+    ("nc5_stdout", ["enumerate", "--n", "5", "--kind", "ncpp"]),
 ]
 
 
@@ -346,13 +350,18 @@ def test_integer_and_record_commands_run_without_numpy(tmp_path):
     assert outputs["count.stdout"] == f"{onefacemaps.harer_zagier(7, 30)}\n".encode()
     assert outputs["genus"].splitlines()[0] == b"sample_index,genus"
     assert outputs["degrees_json.stdout"].startswith(b'{"degree":1,')
+    assert outputs["all5"] == outputs["all5_stdout.stdout"]
+    assert outputs["all5"].count(b"\n") == 945
+    assert outputs["nc5"] == outputs["nc5_stdout.stdout"]
+    assert outputs["nc5"].count(b"\n") == 42
 
 
 def test_package_surface_loads_lazily():
-    with _fresh_interpreter("-c", "import sys, onefacemaps.cli; print('numpy' in sys.modules)",
-                            stdout=subprocess.PIPE) as proc:
-        out, _ = proc.communicate(timeout=120)
-    assert out == b"False\n"
+    for module in ("onefacemaps.cli", "onefacemaps.counting"):
+        with _fresh_interpreter("-c", f"import sys, {module}; print('numpy' in sys.modules)",
+                                stdout=subprocess.PIPE) as proc:
+            out, _ = proc.communicate(timeout=120)
+        assert out == b"False\n"
     star: dict = {}
     exec("from onefacemaps import *", star)
     for name in onefacemaps.__all__:
@@ -387,6 +396,12 @@ _TORUS_AS_SPHERE = _RECORD.format(n=2, partner=[3, 4, 1, 2], genus=0)
     [
         (["generate", "--n", 10, "--samples", 0], None, 2, "need --samples >= 1"),
         (["generate", "--n", 0, "--samples", 1], None, 2, "need --n >= 1"),
+        (["generate", "--sampler", "genus-filtered", "--n", 4, "--genus", 1, "--samples", 1,
+          "--budget", 0], None, 2, "need --budget >= 1"),
+        (["generate", "--n", 4, "--samples", 1, "--seed", -1], None, 2,
+         "need 0 <= --seed < 2**64"),
+        (["generate", "--n", 4, "--samples", 1, "--seed", 2**64], None, 2,
+         "need 0 <= --seed < 2**64"),
         (["generate", "--sampler", "genus-filtered", "--n", 10, "--samples", 1], None, 2,
          "--genus is required with --sampler genus-filtered"),
         (["generate", "--n", 10, "--samples", 1, "--genus", 2], None, 2,
@@ -406,8 +421,9 @@ _TORUS_AS_SPHERE = _RECORD.format(n=2, partner=[3, 4, 1, 2], genus=0)
           "--budget", 50, "--seed", 3], None, 3,
          "found 0 genus-0 maps in 50 draws, wanted 1 maps"),
     ],
-    ids=["samples0", "n0", "no-genus", "stray-genus", "count", "table", "enumerate", "walks",
-         "spacings", "meanjth-mixed", "empty", "wrong-genus", "budget"],
+    ids=["samples0", "n0", "budget0", "seed-negative", "seed-big", "no-genus", "stray-genus",
+         "count", "table", "enumerate", "walks", "spacings", "meanjth-mixed", "empty",
+         "wrong-genus", "budget"],
 )
 def test_error_contract(argv, ensemble, code, err, tmp_path, capsys):
     ens = tmp_path / "ens.jsonl"

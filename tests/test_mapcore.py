@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,11 @@ from onefacemaps import (
     Gluing,
     RngStream,
     build_adjacency,
+    enumerate_all_gluings,
+    enumerate_ncpp,
+    genus,
     read_records,
+    sample_ncpp,
     sample_uniform_gluing,
     vertex_cycles,
     write_records,
@@ -24,12 +29,12 @@ from onefacemaps.mapcore import _conjugate, _orbit_counts
 
 
 def test_smallest_gluing_is_valid():
-    assert Gluing.from_partner([2, 1]).partner == (2, 1)
+    assert brute.gluing([2, 1]).partner == (2, 1)
 
 
 def test_identity_partner_has_fixed_point():
     with pytest.raises(ValueError, match="label 1 is glued to itself"):
-        Gluing.from_partner([1, 2])
+        brute.gluing([1, 2])
 
 
 def test_odd_length_rejected():
@@ -44,21 +49,38 @@ def test_declared_size_mismatch_rejected():
 
 def test_non_involution_rejected():
     with pytest.raises(ValueError, match=r"partner\[2\] = 3 but partner\[1\] = 2"):
-        Gluing.from_partner([2, 3, 4, 1])
+        brute.gluing([2, 3, 4, 1])
 
 
 def test_out_of_range_label_rejected():
     with pytest.raises(ValueError, match=r"partner of 1 is 5, outside 1\.\.4"):
-        Gluing.from_partner([5, 1, 4, 3])
+        brute.gluing([5, 1, 4, 3])
 
 
 def test_empty_partner_rejected():
     with pytest.raises(ValueError, match="must have length 2n = 0, got 0"):
-        Gluing.from_partner([])
+        brute.gluing([])
+
+
+@pytest.mark.parametrize(
+    "n, partner, fault",
+    [
+        (1, (2, True), "partner of 2 must be an int, got True"),
+        (1.0, (2, 1), "n must be an int, got 1.0"),
+        (True, (2, 1), "n must be an int, got True"),
+        (1, ("2", "1"), "partner of 1 must be an int, got '2'"),
+        (2, (2.0, 1, 4, 3), "partner of 1 must be an int, got 2.0"),
+        (1, (np.int64(2), np.int64(1)), "partner of 1 must be an int"),
+        (np.int64(1), (2, 1), "n must be an int"),
+    ],
+)
+def test_labels_that_are_not_ints_rejected(n, partner, fault):
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        Gluing(n=n, partner=partner)
 
 
 def test_replace_with_invalid_partner_rejected():
-    g = Gluing.from_partner([2, 1, 4, 3])
+    g = brute.gluing([2, 1, 4, 3])
     with pytest.raises(ValueError, match=r"partner\[2\] = 3 but partner\[1\] = 2"):
         dataclasses.replace(g, partner=(2, 3, 4, 1))
     with pytest.raises(ValueError, match="must have length 2n = 6, got 4"):
@@ -90,7 +112,7 @@ def test_conjugation_hand_example():
 )
 def test_every_permutation_yields_valid_gluing(perm):
     (partner,) = _conjugated([perm])
-    assert Gluing.from_partner(partner).partner == brute.gluing_by_conjugation(perm)
+    assert brute.gluing(partner).partner == brute.gluing_by_conjugation(perm)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -113,7 +135,7 @@ def test_orbit_count_equals_vertex_cycles():
     for n in range(1, 6):
         partners = list(brute.all_matchings(n))
         counts = _orbit_counts(np.array(partners) - 1)
-        assert counts.tolist() == [len(vertex_cycles(Gluing.from_partner(p))) for p in partners]
+        assert counts.tolist() == [len(vertex_cycles(brute.gluing(p))) for p in partners]
     gen = RngStream(300).generator()
     draws = [sample_uniform_gluing(300, gen) for _ in range(200)]
     counts = _orbit_counts(np.array([g.partner for g in draws]) - 1)
@@ -121,12 +143,12 @@ def test_orbit_count_equals_vertex_cycles():
 
 
 def test_adjacency_k4():
-    a = build_adjacency(Gluing.from_partner([3, 4, 1, 2]))
+    a = build_adjacency(brute.gluing([3, 4, 1, 2]))
     assert a.tolist() == [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
 
 
 def test_adjacency_matching_on_cycle_edges_doubles_them():
-    a = build_adjacency(Gluing.from_partner([2, 1, 4, 3]))
+    a = build_adjacency(brute.gluing([2, 1, 4, 3]))
     assert a[0, 1] == a[1, 0] == 2
     assert a[2, 3] == a[3, 2] == 2
     assert a[1, 2] == a[3, 0] == 1
@@ -134,14 +156,14 @@ def test_adjacency_matching_on_cycle_edges_doubles_them():
 
 
 def test_adjacency_degenerate_two_gon():
-    a = build_adjacency(Gluing.from_partner([2, 1]))
+    a = build_adjacency(brute.gluing([2, 1]))
     assert a.tolist() == [[0, 3], [3, 0]]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_adjacency_rows_sum_three_symmetric_zero_diagonal(n):
     for partner in brute.all_matchings(n):
-        a = build_adjacency(Gluing.from_partner(partner))
+        a = build_adjacency(brute.gluing(partner))
         assert np.array_equal(a, a.T)
         assert np.all(np.diag(a) == 0)
         assert np.all(a.sum(axis=0) == 3)
@@ -151,20 +173,32 @@ def test_adjacency_rows_sum_three_symmetric_zero_diagonal(n):
 
 
 def test_adjacency_injective_for_n3():
-    mats = {build_adjacency(Gluing.from_partner(p)).tobytes() for p in brute.all_matchings(3)}
+    mats = {build_adjacency(brute.gluing(p)).tobytes() for p in brute.all_matchings(3)}
     assert len(mats) == 15
 
 
 def test_record_json_roundtrip(tmp_path):
     records = [
-        EnsembleRecord(Gluing.from_partner([3, 4, 1, 2]), genus=1, seed=7, sample_index=0),
-        EnsembleRecord(Gluing.from_partner([2, 1, 4, 3]), genus=0, seed=7, sample_index=1),
+        EnsembleRecord(brute.gluing([3, 4, 1, 2]), genus=1, seed=7, sample_index=0),
+        EnsembleRecord(brute.gluing([2, 1, 4, 3]), genus=0, seed=7, sample_index=1),
     ]
     path = tmp_path / "ens.jsonl"
     write_records(path, records)
     back = read_records(path)
     assert back == records
     assert back[0].n == 2
+
+
+def test_every_small_and_drawn_gluing_survives_its_records(tmp_path):
+    gluings = [g for n in range(1, 6) for g in (*enumerate_all_gluings(n), *enumerate_ncpp(n))]
+    for n in (1, 2, 7, 60):
+        gluings += [draw(n, RngStream(3, i)) for draw in (sample_uniform_gluing, sample_ncpp)
+                    for i in range(5)]
+    records = [EnsembleRecord(g, genus=genus(g), seed=3, sample_index=i)
+               for i, g in enumerate(gluings)]
+    path = tmp_path / "ens.jsonl"
+    write_records(path, records)
+    assert read_records(path) == records
 
 
 def test_record_parse_error():

@@ -180,6 +180,8 @@ def test_genus_filtered_partial_results_attached():
 def test_genus_filtered_target_validation():
     with pytest.raises(ValueError, match=r"target genus must lie in 0\.\.2, got 3"):
         sample_genus_filtered(4, 3, 10, RngStream(0))
+    with pytest.raises(ValueError, match="need n >= 1"):
+        sample_genus_filtered(-1, 0, 10, RngStream(0))
 
 
 @pytest.mark.parametrize("num_samples", [0, -3])

@@ -3,7 +3,6 @@ import pytest
 
 import brute
 from onefacemaps import (
-    Gluing,
     RngStream,
     build_adjacency,
     closed_walk_counts,
@@ -21,13 +20,13 @@ def _assert_matches_dense(a):
 
 
 def test_k4_spectrum():
-    s = eigenvalues_symmetric(build_adjacency(Gluing.from_partner([3, 4, 1, 2])))
+    s = eigenvalues_symmetric(build_adjacency(brute.gluing([3, 4, 1, 2])))
     assert np.allclose(s.values, [-1.0, -1.0, -1.0, 3.0], atol=1e-10)
-    assert s.n == 2
+    assert s.values.shape == (4,)
 
 
 def test_two_gon_spectrum():
-    a = build_adjacency(Gluing.from_partner([2, 1]))
+    a = build_adjacency(brute.gluing([2, 1]))
     assert eigenvalues_symmetric(a).values.tolist() == [-3.0, 3.0]
     _assert_matches_dense(a)
 
@@ -63,7 +62,7 @@ def test_noncrossing_spectra_match_dense_solve():
 
 
 def test_crossing_bipartite_gluing_matches_dense_solve():
-    g = Gluing.from_partner([4, 5, 6, 1, 2, 3])  # genus 1, every pair odd-even
+    g = brute.gluing([4, 5, 6, 1, 2, 3])  # genus 1, every pair odd-even
     assert genus(g) == 1
     _assert_matches_dense(build_adjacency(g))
 
@@ -71,7 +70,7 @@ def test_crossing_bipartite_gluing_matches_dense_solve():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_every_small_gluing_matches_dense_solve(n):
     for partner in brute.all_matchings(n):
-        _assert_matches_dense(build_adjacency(Gluing.from_partner(partner)))
+        _assert_matches_dense(build_adjacency(brute.gluing(partner)))
 
 
 def test_zero_singular_values_give_no_negative_zero():

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
+import brute
 from onefacemaps import (
-    Gluing,
     HistogramDensity,
     RngStream,
     Spectrum,
@@ -31,25 +31,23 @@ from onefacemaps import (
 
 def _ladder(values) -> Spectrum:
     values = np.asarray(values, dtype=np.float64)
-    return Spectrum(values=values, n=len(values) // 2)
+    return Spectrum(values=values)
 
 
 def test_mckay_density_center_value():
     # direct evaluation: 3 sqrt(8) / (18 pi)
-    assert mckay_density(0.0, k=3) == pytest.approx(0.150052719359517678, abs=1e-15)
+    assert mckay_density(0.0) == pytest.approx(0.150052719359517678, abs=1e-15)
 
 
 def test_mckay_density_support():
-    assert mckay_density(2.9, k=3) == 0.0  # support ends at 2 sqrt(2) ~ 2.8284
-    assert mckay_density(-2.9, k=3) == 0.0
-    assert mckay_density(2.8, k=3) > 0.0
-    with pytest.raises(ValueError, match="need k >= 2"):
-        mckay_density(0.0, k=1)
+    assert mckay_density(2.9) == 0.0  # support ends at 2 sqrt(2) ~ 2.8284
+    assert mckay_density(-2.9) == 0.0
+    assert mckay_density(2.8) > 0.0
 
 
 def test_mckay_density_integrates_to_one():
     edge = 2.0 * math.sqrt(2.0)
-    total, _ = integrate.quad(lambda x: mckay_density(x, 3), -edge, edge, limit=200)
+    total, _ = integrate.quad(mckay_density, -edge, edge, limit=200)
     assert abs(total - 1.0) < 1e-8
 
 
@@ -72,10 +70,9 @@ def test_exponential_cdf_closed_form():
 
 def test_empirical_density_hand_count():
     # K4 spectrum {-1,-1,-1,3}: two bins over [-3,3] get masses 3/4 and 1/4
-    s = eigenvalues_symmetric(build_adjacency(Gluing.from_partner([3, 4, 1, 2])))
+    s = eigenvalues_symmetric(build_adjacency(brute.gluing([3, 4, 1, 2])))
     hist = empirical_density([s], bins=2)
     assert hist.densities == pytest.approx([0.25, 1.0 / 12.0], abs=1e-12)
-    assert hist.sample_count == 4
 
 
 def test_empirical_density_integrates_to_one():
@@ -100,7 +97,7 @@ def test_genus_zero_density_is_even_within_counting_noise():
     ]
     hist = empirical_density(spectra, bins=40)
     width = hist.bin_widths[0]
-    total = hist.sample_count
+    total = sum(s.values.size for s in spectra)
     counts = hist.densities * total * width
     for i in range(len(counts) // 2):
         j = len(counts) - 1 - i
@@ -200,6 +197,5 @@ def test_l1_distance_identical_histogram():
     h = HistogramDensity(
         bin_edges=np.array([0.0, 1.0, 2.0]),
         densities=np.array([0.5, 0.5]),
-        sample_count=10,
     )
     assert l1_histogram_distance(h, lambda x: np.full_like(x, 0.5)) == 0.0

@@ -5,7 +5,6 @@ import pytest
 
 import brute
 from onefacemaps import (
-    Gluing,
     RngStream,
     build_adjacency,
     closed_walk_counts,
@@ -18,9 +17,9 @@ from onefacemaps import (
     vertex_cycles,
 )
 
-TORUS = Gluing.from_partner([3, 4, 1, 2])  # opposite-edge square gluing
-PATH2 = Gluing.from_partner([2, 1, 4, 3])  # two nested arcs, a path of length 2
-TWOGON = Gluing.from_partner([2, 1])
+TORUS = brute.gluing([3, 4, 1, 2])  # opposite-edge square gluing
+PATH2 = brute.gluing([2, 1, 4, 3])  # two nested arcs, a path of length 2
+TWOGON = brute.gluing([2, 1])
 
 
 def test_vertex_cycles_two_gon():
@@ -37,7 +36,7 @@ def test_vertex_cycles_path():
 
 def test_vertex_cycles_partition_labels():
     for partner in brute.all_matchings(4):
-        cycles = vertex_cycles(Gluing.from_partner(partner))
+        cycles = vertex_cycles(brute.gluing(partner))
         labels = sorted(label for c in cycles for label in c)
         assert labels == list(range(1, 9))
 
@@ -51,12 +50,12 @@ def test_genus_examples():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_genus_agrees_with_reverse_orientation_oracle(n):
     for partner in brute.all_matchings(n):
-        g = Gluing.from_partner(partner)
+        g = brute.gluing(partner)
         assert genus(g) == brute.genus_reverse(partner)
 
 
 def test_genus_histogram_n3():
-    hist = Counter(genus(Gluing.from_partner(p)) for p in brute.all_matchings(3))
+    hist = Counter(genus(brute.gluing(p)) for p in brute.all_matchings(3))
     assert dict(hist) == {0: 5, 1: 10}
 
 
@@ -75,7 +74,7 @@ def test_is_noncrossing_examples():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_noncrossing_matches_quadratic_oracle_and_genus(n):
     for partner in brute.all_matchings(n):
-        g = Gluing.from_partner(partner)
+        g = brute.gluing(partner)
         flag = is_noncrossing(g)
         assert flag == brute.crossing_free(partner)
         assert flag == (genus(g) == 0)
@@ -90,7 +89,7 @@ def test_is_bipartite_examples():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_is_bipartite_agrees_with_bfs_oracle_exhaustively(n):
     for partner in brute.all_matchings(n):
-        a = build_adjacency(Gluing.from_partner(partner))
+        a = build_adjacency(brute.gluing(partner))
         assert is_bipartite(a) == brute.bipartite_by_bfs(a)
 
 
@@ -151,7 +150,7 @@ def test_closed_walks_match_exact_matrix_power():
     # off-diagonal entry is 3, and glued pairs of adjacent labels (entry 2)
     for n in range(1, 6):
         for partner in brute.all_matchings(n):
-            g = Gluing.from_partner(partner)
+            g = brute.gluing(partner)
             expected = brute.closed_walks_by_matrix_power(build_adjacency(g), 20)
             assert closed_walk_counts(g, 20) == expected
     gen = RngStream(9).generator()
