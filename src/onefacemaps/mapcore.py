@@ -43,6 +43,9 @@ class Gluing:
         # exact ints only: a bool, float, str or numpy integer makes a record read_records refuses
         if type(self.n) is not int:
             raise ValueError(f"n must be an int, got {self.n!r}")
+        # a list would be unhashable and could change after this check
+        if type(self.partner) is not tuple:
+            raise ValueError(f"partner must be a tuple, got {type(self.partner).__name__}")
         two_n = len(self.partner)
         if two_n % 2 != 0 or two_n == 0 or two_n != 2 * self.n:
             raise ValueError(
@@ -133,16 +136,17 @@ def _orbit_counts(mates: np.ndarray) -> np.ndarray:
 
 
 def build_adjacency(g: Gluing) -> np.ndarray:
-    """Adjacency matrix of the 2n-cycle plus the glued matching.
+    """Adjacency matrix of the 2n-cycle plus the glued matching, as int8.
 
     Entries count edges, so a glued pair that coincides with a cycle edge
     yields entry 2 (and the degenerate n=1 map yields a single entry 3).
-    Rows always sum to exactly 3.
+    Rows always sum to exactly 3.  int8 holds every count exactly; cast
+    to a wider type before arithmetic that can exceed 127, such as powers.
     """
     import numpy as np
 
     two_n = 2 * g.n
-    a = np.zeros((two_n, two_n), dtype=np.int64)
+    a = np.zeros((two_n, two_n), dtype=np.int8)
     idx = np.arange(two_n)
     succ = (idx + 1) % two_n
     a[idx, succ] += 1

@@ -94,7 +94,7 @@ def closed_walk_counts(g: Gluing, r_max: int) -> list[int]:
             f"r_max = {r_max} exceeds the exact-arithmetic cap {MAX_WALK_LENGTH}"
         )
     mate = np.asarray(g.partner, dtype=np.int64) - 1
-    power = build_adjacency(g)
+    power = build_adjacency(g).astype(np.int64)
     walks = [int(np.trace(power))]
     for _ in range(2, r_max + 1):
         nxt = power[mate]

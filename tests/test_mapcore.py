@@ -79,6 +79,12 @@ def test_labels_that_are_not_ints_rejected(n, partner, fault):
         Gluing(n=n, partner=partner)
 
 
+@pytest.mark.parametrize("partner", [[2, 1], None])
+def test_partner_that_is_not_a_tuple_rejected(partner):
+    with pytest.raises(ValueError, match=f"partner must be a tuple, got {type(partner).__name__}"):
+        Gluing(n=1, partner=partner)
+
+
 def test_replace_with_invalid_partner_rejected():
     g = brute.gluing([2, 1, 4, 3])
     with pytest.raises(ValueError, match=r"partner\[2\] = 3 but partner\[1\] = 2"):
@@ -144,6 +150,7 @@ def test_orbit_count_equals_vertex_cycles():
 
 def test_adjacency_k4():
     a = build_adjacency(brute.gluing([3, 4, 1, 2]))
+    assert a.dtype == np.int8
     assert a.tolist() == [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from onefacemaps import (
     sample_ncpp,
     sample_uniform_gluing,
 )
+from onefacemaps import spectra
 
 
 def _assert_matches_dense(a):
@@ -97,3 +100,58 @@ def test_rejects_nonsymmetric_and_odd_inputs():
 def test_rejects_the_empty_matrix():
     with pytest.raises(ValueError, match="got an empty matrix"):
         eigenvalues_symmetric(np.zeros((0, 0), dtype=np.int64))
+
+
+def _solve_inputs():
+    for n in (1, 2, 50, 300):
+        for index in range(3):
+            yield build_adjacency(sample_uniform_gluing(n, RngStream(31, index)))
+            yield build_adjacency(sample_ncpp(n, RngStream(32, index)))
+    yield np.zeros((4, 4), dtype=np.int64)
+    yield build_adjacency(brute.gluing([3, 4, 1, 2]))  # K4
+
+
+def test_lapack_call_matches_numpy_fallback_bytes(monkeypatch):
+    if spectra._lapack() is None:
+        pytest.skip("no bundled OpenBLAS with dsyevd and dgesdd found beside numpy")
+    direct = [eigenvalues_symmetric(a).values.tobytes() for a in _solve_inputs()]
+    monkeypatch.setattr(spectra, "_lapack", lambda: None)
+    fallback = [eigenvalues_symmetric(a).values.tobytes() for a in _solve_inputs()]
+    assert direct == fallback
+
+
+@pytest.mark.parametrize("sampler", [sample_uniform_gluing, sample_ncpp])
+def test_float_fortran_input_is_left_unchanged(sampler):
+    # such an input needs no conversion, so only an explicit copy keeps
+    # LAPACK from overwriting the caller's array
+    a = np.asfortranarray(build_adjacency(sampler(40, RngStream(33))), dtype=np.float64)
+    before = a.copy(order="F")
+    eigenvalues_symmetric(a)
+    assert a.tobytes(order="F") == before.tobytes(order="F")
+
+
+def test_rejects_non_finite_entries():
+    bipartite = np.array([[0.0, np.inf], [np.inf, 0.0]])
+    dense = np.ones((4, 4)) - np.eye(4)
+    dense[0, 1] = dense[1, 0] = -np.inf
+    for a in (bipartite, dense):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            eigenvalues_symmetric(a)
+
+
+@pytest.mark.parametrize(
+    "sampler, n, bound",
+    [(sample_uniform_gluing, 300, 1.3), (sample_ncpp, 500, 0.5)],
+)
+def test_peak_memory_of_one_solve(sampler, n, bound):
+    # in units of one 2n x 2n float64 matrix: the int8 adjacency, the one
+    # float64 copy of the matrix solved and LAPACK's workspace
+    g = sampler(n, RngStream(34))
+    eigenvalues_symmetric(build_adjacency(g))  # load the library first
+    tracemalloc.start()
+    try:
+        eigenvalues_symmetric(build_adjacency(g))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * (2 * n) ** 2) <= bound
