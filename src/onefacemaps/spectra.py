@@ -64,6 +64,9 @@ def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:
         raise ValueError("map adjacency matrices have 2n >= 2 rows, got an empty matrix")
     if a.shape[0] % 2 != 0:
         raise ValueError("map adjacency matrices have even size 2n")
+    # integers are finite; checked before symmetry, which NaN would fail
+    if a.dtype.kind not in "biu" and not np.isfinite(a.astype(np.float64, copy=False)).all():
+        raise ValueError("matrix entries must be finite")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
     bipartite = _parity_blocks_vanish(a)
@@ -73,10 +76,6 @@ def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:
         # a equals its transpose, so its row-major copy read as Fortran-ordered
         # is the same matrix, at a third of the cost of a transposing copy
         work = a.astype(np.float64, order="C").T
-    # integers are finite; on the bipartite path the blocks left out of the
-    # copy are exact zeros, so checking the copy checks all of ``a``
-    if a.dtype.kind not in "biu" and not np.isfinite(work).all():
-        raise ValueError("matrix entries must be finite")
     try:
         if bipartite:
             s = _singular_values(work)
