@@ -24,7 +24,6 @@ _SOURCE = {
     "RngStream": "samplers",
     "Spectrum": "spectra",
     "build_adjacency": "mapcore",
-    "bulk_spacings": "stats",
     "closed_walk_counts": "topology",
     "degree_distribution": "topology",
     "empirical_density": "stats",

@@ -3,8 +3,8 @@
 Subcommands: generate, count, table, spectrum, density, spacings, meanjth,
 genus, degrees, walks, enumerate.  Exit codes: 0 success, 2 validation
 error (an ensemble file with no records is one), 3 sampling budget
-exhausted, 4 I/O error.  A reader that closes standard output early
-(``| head``) ends the command quietly with exit 0.
+exhausted, 4 I/O error, 5 eigensolver failure.  A reader that closes
+standard output early (``| head``) ends the command quietly with exit 0.
 
 The array modules (``samplers``, ``spectra``, ``stats``) are imported by
 the commands that use them, so ``enumerate``, ``count``, ``table``,
@@ -20,7 +20,7 @@ import sys
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import counting, topology
-from .errors import BudgetExhaustedError
+from .errors import BudgetExhaustedError, NoConvergenceError
 from .mapcore import EnsembleRecord, Gluing, build_adjacency, read_records, write_records
 
 if TYPE_CHECKING:
@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
+EXIT_SOLVER = 5
 
 
 def _fmt(x: float) -> str:
@@ -294,6 +295,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except NoConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except ValueError as exc:  # every validation error of the package is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator
 
-from .mapcore import Gluing
+from .mapcore import Gluing, _exact_int
 
 ENUMERATE_ALL_MAX = 8  # (2n-1)!! past this is unreasonable to stream
 ENUMERATE_NCPP_MAX = 14  # C_14 = 2674440
@@ -54,9 +54,9 @@ def _harer_zagier_row(n: int, g_max: int) -> list[int]:
 
 def harer_zagier(g: int, n: int) -> int:
     """Number of genus-g one-face maps with n edges, exactly."""
-    if n < 1:
+    if _exact_int(n, "n") < 1:
         raise ValueError("need n >= 1")
-    if g < 0 or 2 * g > n:
+    if not 0 <= 2 * _exact_int(g, "g") <= n:
         raise ValueError(f"need 0 <= 2g <= n, got g={g}, n={n}")
     return _harer_zagier_row(n, g)[g]
 
@@ -66,7 +66,7 @@ def genus_distribution(n: int) -> list[int]:
 
     The entries sum to (2n-1)!!, the total number of gluings.
     """
-    if n < 1:
+    if _exact_int(n, "n") < 1:
         raise ValueError("need n >= 1")
     return _harer_zagier_row(n, n // 2)
 
@@ -76,7 +76,7 @@ def enumerate_all_gluings(n: int) -> Iterator[Gluing]:
 
     ``n`` is checked when the function is called, before the first item.
     """
-    if n < 1:
+    if _exact_int(n, "n") < 1:
         raise ValueError("need n >= 1")
     if n > ENUMERATE_ALL_MAX:
         raise ValueError(f"exhaustive enumeration capped at n = {ENUMERATE_ALL_MAX}")
@@ -96,7 +96,7 @@ def enumerate_all_gluings(n: int) -> Iterator[Gluing]:
                 partner[i] = 0
                 partner[j] = 0
 
-    return (Gluing(n=n, partner=tuple(partner)) for _ in fill())
+    return (Gluing(partner=tuple(partner)) for _ in fill())
 
 
 def enumerate_ncpp(n: int) -> Iterator[Gluing]:
@@ -104,7 +104,7 @@ def enumerate_ncpp(n: int) -> Iterator[Gluing]:
 
     ``n`` is checked when the function is called, before the first item.
     """
-    if n < 1:
+    if _exact_int(n, "n") < 1:
         raise ValueError("need n >= 1")
     if n > ENUMERATE_NCPP_MAX:
         raise ValueError(f"non-crossing enumeration capped at n = {ENUMERATE_NCPP_MAX}")
@@ -121,4 +121,4 @@ def enumerate_ncpp(n: int) -> Iterator[Gluing]:
             for _ in fill(first + 1, m - 1):
                 yield from fill(mate + 1, k - m)
 
-    return (Gluing(n=n, partner=tuple(partner)) for _ in fill(1, n))
+    return (Gluing(partner=tuple(partner)) for _ in fill(1, n))

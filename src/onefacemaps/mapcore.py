@@ -30,28 +30,27 @@ if TYPE_CHECKING:
 class Gluing:
     """Fixed-point-free involution on the labels 1..2n.
 
-    ``partner[i - 1]`` is the label glued to label ``i``.  Instances are
-    immutable and hashable, and are checked when they are built, so every
-    ``Gluing`` that exists is valid: a violated invariant raises a
-    ValueError that names the first one.
+    ``partner[i - 1]`` is the label glued to label ``i``, and ``n`` is half
+    the table's length.  Instances are immutable and hashable, and are
+    checked when they are built, so every ``Gluing`` that exists is valid:
+    a violated invariant raises a ValueError that names the first one.
     """
 
-    n: int
     partner: tuple[int, ...]
 
+    @property
+    def n(self) -> int:
+        return len(self.partner) // 2
+
     def __post_init__(self):
-        # exact ints only: a bool, float, str or numpy integer makes a record read_records refuses
-        if type(self.n) is not int:
-            raise ValueError(f"n must be an int, got {self.n!r}")
         # a list would be unhashable and could change after this check
         if type(self.partner) is not tuple:
             raise ValueError(f"partner must be a tuple, got {type(self.partner).__name__}")
         two_n = len(self.partner)
-        if two_n % 2 != 0 or two_n == 0 or two_n != 2 * self.n:
-            raise ValueError(
-                f"partner table must have length 2n = {2 * self.n}, got {two_n}"
-            )
+        if two_n % 2 != 0 or two_n == 0:
+            raise ValueError(f"partner table must have length 2n = {2 * self.n}, got {two_n}")
         for i, p in enumerate(self.partner, start=1):
+            # exact ints only, as _exact_int asks, inlined for the per-label loop
             if type(p) is not int:
                 raise ValueError(f"partner of {i} must be an int, got {p!r}")
             if not 1 <= p <= two_n:
@@ -62,6 +61,18 @@ class Gluing:
                 raise ValueError(
                     f"partner[{p}] = {self.partner[p - 1]} but partner[{i}] = {p}"
                 )
+
+
+def _exact_int(value, name: str) -> int:
+    """``value`` if it is exactly an int, else a ValueError naming ``name``.
+
+    The rule for every integer the package is handed: a bool, float, str
+    or numpy integer is refused, so none is truncated, misread as 0 or 1,
+    or written into a record that ``read_records`` would refuse.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return value
 
 
 def _conjugate(perms: np.ndarray) -> np.ndarray:
@@ -158,7 +169,16 @@ def build_adjacency(g: Gluing) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnsembleRecord:
-    """One sampled map plus the provenance needed to regenerate it."""
+    """One sampled map plus its provenance, ``seed`` and ``sample_index``.
+
+    Where map i of an ensemble is drawn from ``RngStream(seed, i)`` alone,
+    as the ``uniform`` and ``ncpp`` samplers of ``onefacemaps generate``
+    draw it, the pair regenerates the map.  Genus-filtered ensembles draw
+    every map from the one stream ``RngStream(seed, 0)``: there
+    ``sample_index`` is the map's rank among the kept maps, and the map
+    comes back only by drawing the ensemble again from ``seed``, with the
+    same ``n`` and genus.
+    """
 
     gluing: Gluing
     genus: int
@@ -169,43 +189,18 @@ class EnsembleRecord:
     def n(self) -> int:
         return self.gluing.n
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.gluing.n,
-                "partner": list(self.gluing.partner),
-                "genus": self.genus,
-                "seed": self.seed,
-                "sample_index": self.sample_index,
-            },
-            separators=(",", ":"),
-        )
 
-    @classmethod
-    def from_json(cls, line: str) -> "EnsembleRecord":
-        """Parse one record.
-
-        ``n``, ``genus``, ``seed``, ``sample_index`` and every entry of the
-        list ``partner`` must be JSON integers; anything else, or an
-        invalid gluing, raises ValueError.
-        """
-        try:
-            obj = json.loads(line)
-            partner = obj["partner"]
-            if not isinstance(partner, list):
-                raise ValueError(f"partner must be a JSON list, got {json.dumps(partner)}")
-            gluing = Gluing(
-                n=_json_int(obj["n"], "n"),
-                partner=tuple(_json_int(p, "partner entry") for p in partner),
-            )
-            return cls(
-                gluing=gluing,
-                genus=_json_int(obj["genus"], "genus"),
-                seed=_json_int(obj["seed"], "seed"),
-                sample_index=_json_int(obj["sample_index"], "sample_index"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad ensemble record: {exc}") from exc
+def _record_line(rec: EnsembleRecord) -> str:
+    return json.dumps(
+        {
+            "n": rec.gluing.n,
+            "partner": list(rec.gluing.partner),
+            "genus": rec.genus,
+            "seed": rec.seed,
+            "sample_index": rec.sample_index,
+        },
+        separators=(",", ":"),
+    )
 
 
 def _json_int(value, field: str) -> int:
@@ -215,21 +210,26 @@ def _json_int(value, field: str) -> int:
     return value
 
 
-def write_records(path, records: Iterable[EnsembleRecord]) -> None:
-    """Write records as JSON lines, one record per line."""
-    if isinstance(path, (str, Path)):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            write_records(fh, records)
-        return
-    for rec in records:
-        path.write(rec.to_json() + "\n")
-
-
-def _checked_record(line: str, line_no: int) -> EnsembleRecord:
+def _parse_record(line: str, line_no: int) -> EnsembleRecord:
+    """The record on one line, checked as ``read_records`` describes."""
     try:
-        rec = EnsembleRecord.from_json(line)
-    except ValueError as exc:
-        raise ValueError(f"record on line {line_no}: {exc}") from exc
+        obj = json.loads(line)
+        partner = obj["partner"]
+        if not isinstance(partner, list):
+            raise ValueError(f"partner must be a JSON list, got {json.dumps(partner)}")
+        n = _json_int(obj["n"], "n")
+        partner = tuple(_json_int(p, "partner entry") for p in partner)
+        # the one place where a size arrives beside its table
+        if len(partner) != 2 * n:
+            raise ValueError(f"partner table must have length 2n = {2 * n}, got {len(partner)}")
+        rec = EnsembleRecord(
+            gluing=Gluing(partner=partner),
+            genus=_json_int(obj["genus"], "genus"),
+            seed=_json_int(obj["seed"], "seed"),
+            sample_index=_json_int(obj["sample_index"], "sample_index"),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"record on line {line_no}: bad ensemble record: {exc}") from exc
     from . import topology  # imports this module, so it cannot be imported at its top
 
     actual = topology.genus(rec.gluing)
@@ -240,19 +240,26 @@ def _checked_record(line: str, line_no: int) -> EnsembleRecord:
     return rec
 
 
-def read_records(path) -> list[EnsembleRecord]:
-    """Read a JSON-lines ensemble file.
-
-    Raises ValueError naming the line of the first record that does not
-    parse, has a field that is not a JSON integer, has an invalid gluing
-    (including ``n`` not matching the partner table), or stores a genus
-    that differs from its gluing's.
-    """
+def write_records(path, records: Iterable[EnsembleRecord]) -> None:
+    """Write records as JSON lines, one record per line, to a path or an
+    open text file."""
     if isinstance(path, (str, Path)):
-        with open(path, "r", encoding="utf-8") as fh:
-            return read_records(fh)
-    return [
-        _checked_record(line, line_no)
-        for line_no, line in enumerate(path, start=1)
-        if line.strip()
-    ]
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            write_records(fh, records)
+        return
+    for rec in records:
+        path.write(_record_line(rec) + "\n")
+
+
+def read_records(path) -> list[EnsembleRecord]:
+    """Read the JSON-lines ensemble file at ``path``.
+
+    ``n``, ``genus``, ``seed``, ``sample_index`` and every entry of the
+    list ``partner`` must be JSON integers, and ``n`` half the length of
+    ``partner``.  Raises ValueError naming the line of the first record
+    that does not parse, breaks one of these rules, has an invalid gluing,
+    or stores a genus that differs from its gluing's.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        return [_parse_record(line, line_no) for line_no, line in enumerate(fh, start=1)
+                if line.strip()]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExhaustedError
-from .mapcore import Gluing, _conjugate, _orbit_counts
+from .mapcore import Gluing, _conjugate, _exact_int, _orbit_counts
 
 # labels (draws x 2n) whose orbits one batch of genus filtering counts at once
 _FILTER_BATCH_LABELS = 1 << 16
@@ -40,9 +40,9 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.master_seed < 2**64:
+        if not 0 <= _exact_int(self.master_seed, "master_seed") < 2**64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if self.stream_index < 0:
+        if _exact_int(self.stream_index, "stream_index") < 0:
             raise ValueError("stream_index must be non-negative")
 
     def generator(self) -> np.random.Generator:
@@ -55,17 +55,17 @@ def _as_generator(rng) -> np.random.Generator:
         return rng.generator()
     if isinstance(rng, np.random.Generator):
         return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
+    raise ValueError(f"rng must be an RngStream or a numpy Generator, got {type(rng)!r}")
 
 
 def _gluing(mates: np.ndarray) -> Gluing:
     """The gluing of one 0-based partner row."""
-    return Gluing(n=mates.size // 2, partner=tuple((mates + 1).tolist()))
+    return Gluing(partner=tuple((mates + 1).tolist()))
 
 
 def sample_uniform_gluing(n: int, rng) -> Gluing:
     """One gluing uniform over all (2n-1)!! perfect matchings."""
-    if n < 1:
+    if _exact_int(n, "n") < 1:
         raise ValueError("need n >= 1")
     gen = _as_generator(rng)
     return _gluing(_conjugate(gen.permutation(2 * n)[None])[0])
@@ -96,11 +96,11 @@ def _noncrossing_partner(up: np.ndarray) -> np.ndarray:
 
 def sample_ncpp(n: int, rng) -> Gluing:
     """One non-crossing gluing, exactly uniform over the C_n possibilities."""
-    if n < 1:
+    if _exact_int(n, "n") < 1:
         raise ValueError("need n >= 1")
     gen = _as_generator(rng)
     up = gen.permutation(2 * n + 1) < n  # n up-steps at uniform positions
-    return Gluing(n=n, partner=tuple(_noncrossing_partner(up).tolist()))
+    return Gluing(partner=tuple(_noncrossing_partner(up).tolist()))
 
 
 @dataclass(frozen=True)
@@ -112,20 +112,15 @@ class FilteredSample:
 
 
 def sample_genus_filtered(
-    n: int,
-    target_genus: int,
-    max_attempts: int,
-    rng,
-    num_samples: int | None = None,
+    n: int, target_genus: int, max_attempts: int, rng, num_samples: int
 ) -> FilteredSample:
-    """Uniform gluings filtered to a target genus by rejection.
+    """``num_samples`` uniform gluings of genus ``target_genus``, by rejection.
 
     Draws uniform gluings and keeps those whose map has the target genus;
-    the kept sample is uniform over genus-target maps.  Stops early once
-    ``num_samples`` (at least 1) maps are kept; with ``num_samples=None``
-    the whole budget is spent and everything found is returned.  Raises
-    BudgetExhaustedError (carrying the partial sample) if the budget ends
-    before the request is met, or with nothing found.
+    the kept sample is uniform over genus-target maps.  Stops once
+    ``num_samples`` (at least 1) maps are kept, and raises
+    BudgetExhaustedError, carrying the partial sample, if
+    ``max_attempts`` draws end first.
 
     The draws are exactly those of repeated ``sample_uniform_gluing``
     calls on the same generator, one ``permutation(2n)`` each, and stop
@@ -137,13 +132,13 @@ def sample_genus_filtered(
     never holds more draws than the maps still wanted or the budget left,
     so no draw past the one that meets the request is made.
     """
-    if n < 1:
+    if _exact_int(n, "n") < 1:
         raise ValueError("need n >= 1")
-    if not 0 <= target_genus <= n // 2:
+    if not 0 <= _exact_int(target_genus, "target_genus") <= n // 2:
         raise ValueError(f"target genus must lie in 0..{n // 2}, got {target_genus}")
-    if max_attempts < 1:
+    if _exact_int(max_attempts, "max_attempts") < 1:
         raise ValueError("need max_attempts >= 1")
-    if num_samples is not None and num_samples < 1:
+    if _exact_int(num_samples, "num_samples") < 1:
         raise ValueError("need num_samples >= 1")
     gen = _as_generator(rng)
     two_n = 2 * n
@@ -151,21 +146,17 @@ def sample_genus_filtered(
     kept: list[Gluing] = []
     attempts = 0
     while attempts < max_attempts:
-        size = min(max(1, _FILTER_BATCH_LABELS // two_n), max_attempts - attempts)
-        if num_samples is not None:
-            # a draw keeps at most one map: the request is met at the batch's last draw or later
-            size = min(size, num_samples - len(kept))
+        # a draw keeps at most one map: the request is met at the batch's last draw or later
+        size = min(max(1, _FILTER_BATCH_LABELS // two_n), max_attempts - attempts,
+                   num_samples - len(kept))
         mates = _conjugate(np.stack([gen.permutation(two_n) for _ in range(size)]))
         for i in np.flatnonzero(_orbit_counts(mates) == vertices).tolist():
             kept.append(_gluing(mates[i]))
-            if num_samples is not None and len(kept) >= num_samples:
+            if len(kept) == num_samples:
                 return FilteredSample(gluings=tuple(kept), attempts=attempts + i + 1)
         attempts += size
-    if num_samples is None and kept:
-        return FilteredSample(gluings=tuple(kept), attempts=attempts)
-    wanted = "at least one map" if num_samples is None else f"{num_samples} maps"
     raise BudgetExhaustedError(
-        f"found {len(kept)} genus-{target_genus} maps in {attempts} draws, wanted {wanted}",
+        f"found {len(kept)} genus-{target_genus} maps in {attempts} draws, wanted {num_samples} maps",
         gluings=kept,
         attempts=attempts,
     )

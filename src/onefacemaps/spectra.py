@@ -54,8 +54,8 @@ def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:
     symmetric eigensolve (LAPACK ``dsyevd``).  Either way
     the matrix solved is copied once, to Fortran-ordered float64, and
     LAPACK overwrites that copy; ``a`` itself is never written.  Entries
-    must be finite.  Deterministic for a fixed input on one platform and
-    BLAS thread count.
+    must be finite, of a boolean, integer or real floating dtype.
+    Deterministic for a fixed input on one platform and BLAS thread count.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -64,8 +64,11 @@ def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:
         raise ValueError("map adjacency matrices have 2n >= 2 rows, got an empty matrix")
     if a.shape[0] % 2 != 0:
         raise ValueError("map adjacency matrices have even size 2n")
+    # a complex or object matrix would be cast to float64, losing its values
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"matrix entries must be real numbers, got dtype {a.dtype}")
     # integers are finite; checked before symmetry, which NaN would fail
-    if a.dtype.kind not in "biu" and not np.isfinite(a.astype(np.float64, copy=False)).all():
+    if a.dtype.kind == "f" and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")

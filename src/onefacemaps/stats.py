@@ -48,34 +48,29 @@ def mckay_density(x):
     radicand = 8.0 - x * x
     with np.errstate(invalid="ignore", divide="ignore"):
         raw = 3 * np.sqrt(np.maximum(radicand, 0.0)) / (2.0 * np.pi * (9 - x * x))
-    out = np.where(radicand > 0.0, raw, 0.0)
-    return out if out.ndim else float(out)
+    return np.where(radicand > 0.0, raw, 0.0)
 
 
 def goe_surmise_density(s):
     """Wigner surmise (pi/2) s exp(-pi s^2 / 4); mean one, level repulsion."""
     s = np.asarray(s, dtype=np.float64)
-    out = np.where(s >= 0.0, 0.5 * np.pi * s * np.exp(-0.25 * np.pi * s * s), 0.0)
-    return out if out.ndim else float(out)
+    return np.where(s >= 0.0, 0.5 * np.pi * s * np.exp(-0.25 * np.pi * s * s), 0.0)
 
 
 def goe_surmise_cdf(s):
     s = np.asarray(s, dtype=np.float64)
-    out = np.where(s >= 0.0, 1.0 - np.exp(-0.25 * np.pi * s * s), 0.0)
-    return out if out.ndim else float(out)
+    return np.where(s >= 0.0, 1.0 - np.exp(-0.25 * np.pi * s * s), 0.0)
 
 
 def exponential_density(s):
     """Unit exponential exp(-s); mean one, no level repulsion."""
     s = np.asarray(s, dtype=np.float64)
-    out = np.where(s >= 0.0, np.exp(-np.clip(s, 0.0, None)), 0.0)
-    return out if out.ndim else float(out)
+    return np.where(s >= 0.0, np.exp(-np.clip(s, 0.0, None)), 0.0)
 
 
 def exponential_cdf(s):
     s = np.asarray(s, dtype=np.float64)
-    out = np.where(s >= 0.0, -np.expm1(-np.clip(s, 0.0, None)), 0.0)
-    return out if out.ndim else float(out)
+    return np.where(s >= 0.0, -np.expm1(-np.clip(s, 0.0, None)), 0.0)
 
 
 def _pooled_histogram(
@@ -102,22 +97,6 @@ def empirical_density(spectra: Iterable[Spectrum], bins: int = DEFAULT_BINS) -> 
     return _pooled_histogram(values, bins, DENSITY_SUPPORT)
 
 
-def bulk_spacings(spectrum: Spectrum, bulk_fraction: float = DEFAULT_BULK_FRACTION) -> np.ndarray:
-    """Consecutive spacings over the central bulk, scaled to mean one."""
-    if not 0.0 < bulk_fraction <= 1.0:
-        raise ValueError(f"bulk_fraction must lie in (0, 1], got {bulk_fraction}")
-    values = np.asarray(spectrum.values, dtype=np.float64)
-    if values.size < 4:
-        raise ValueError("need at least 4 eigenvalues to take bulk spacings")
-    drop = int(np.floor(values.size * (1.0 - bulk_fraction) / 2.0))
-    bulk = values[drop : values.size - drop]
-    diffs = np.diff(bulk)
-    mean = diffs.mean()
-    if mean <= 0.0:
-        raise ValueError("all bulk spacings are zero")
-    return diffs / mean
-
-
 def spacing_distribution(
     spectra: Iterable[Spectrum],
     bulk_fraction: float = DEFAULT_BULK_FRACTION,
@@ -130,11 +109,27 @@ def spacing_distribution(
 def pooled_bulk_spacings(
     spectra: Iterable[Spectrum], bulk_fraction: float = DEFAULT_BULK_FRACTION
 ) -> np.ndarray:
-    """All per-graph scaled bulk spacings of an ensemble, concatenated."""
+    """Consecutive spacings over the central ``bulk_fraction`` of each
+    spectrum, scaled per spectrum to mean one, concatenated."""
     spectra = list(spectra)
     if not spectra:
         raise ValueError("empty ensemble")
-    return np.concatenate([bulk_spacings(s, bulk_fraction) for s in spectra])
+    if not 0.0 < bulk_fraction <= 1.0:
+        raise ValueError(f"bulk_fraction must lie in (0, 1], got {bulk_fraction}")
+    return np.concatenate([_bulk_spacings(s, bulk_fraction) for s in spectra])
+
+
+def _bulk_spacings(spectrum: Spectrum, bulk_fraction: float) -> np.ndarray:
+    values = np.asarray(spectrum.values, dtype=np.float64)
+    if values.size < 4:
+        raise ValueError("need at least 4 eigenvalues to take bulk spacings")
+    drop = int(np.floor(values.size * (1.0 - bulk_fraction) / 2.0))
+    bulk = values[drop : values.size - drop]
+    diffs = np.diff(bulk)
+    mean = diffs.mean()
+    if mean <= 0.0:
+        raise ValueError("all bulk spacings are zero")
+    return diffs / mean
 
 
 def mean_jth_spacing(spectra: Iterable[Spectrum]) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING
 
-from .mapcore import Gluing, _parity_blocks_vanish, build_adjacency, vertex_cycles
+from .mapcore import Gluing, _exact_int, _parity_blocks_vanish, build_adjacency, vertex_cycles
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,7 +87,7 @@ def closed_walk_counts(g: Gluing, r_max: int) -> list[int]:
     """
     import numpy as np
 
-    if r_max < 1:
+    if _exact_int(r_max, "r_max") < 1:
         raise ValueError("need r_max >= 1")
     if r_max > MAX_WALK_LENGTH:
         raise ValueError(

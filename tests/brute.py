@@ -30,8 +30,8 @@ from onefacemaps.errors import BudgetExhaustedError
 
 
 def gluing(partner) -> Gluing:
-    """The gluing with this partner table, its n read off the length."""
-    return Gluing(n=len(partner) // 2, partner=tuple(partner))
+    """The gluing with this partner table, given as any sequence."""
+    return Gluing(partner=tuple(partner))
 
 
 def catalan(n: int) -> int:
@@ -187,7 +187,7 @@ def bipartite_by_bfs(a) -> bool:
 
 
 def genus_filtered_by_single_draws(
-    n: int, target_genus: int, max_attempts: int, gen, num_samples: int | None = None
+    n: int, target_genus: int, max_attempts: int, gen, num_samples: int
 ) -> FilteredSample:
     """Rejection one draw at a time, stopping at the first draw that meets
     the request: the loop ``sample_genus_filtered`` must reproduce, down to
@@ -198,13 +198,10 @@ def genus_filtered_by_single_draws(
         g = sample_uniform_gluing(n, gen)
         if genus_reverse(g.partner) == target_genus:
             kept.append(g)
-            if num_samples is not None and len(kept) >= num_samples:
+            if len(kept) == num_samples:
                 return FilteredSample(gluings=tuple(kept), attempts=attempts)
-    if num_samples is None and kept:
-        return FilteredSample(gluings=tuple(kept), attempts=attempts)
-    wanted = "at least one map" if num_samples is None else f"{num_samples} maps"
     raise BudgetExhaustedError(
-        f"found {len(kept)} genus-{target_genus} maps in {attempts} draws, wanted {wanted}",
+        f"found {len(kept)} genus-{target_genus} maps in {attempts} draws, wanted {num_samples} maps",
         gluings=kept,
         attempts=attempts,
     )

@@ -48,6 +48,7 @@ from onefacemaps import (
     sample_uniform_gluing,
 )
 from onefacemaps import cli, closed_walk_counts
+from onefacemaps.errors import BudgetExhaustedError
 
 FULL = bool(os.environ.get("ONEFACEMAPS_FULL_ACCEPTANCE"))
 
@@ -225,14 +226,18 @@ def test_criterion_09_tree_degree_asymptotics():
 
 
 def test_criterion_10_genus_filtered_reproduction():
-    result = sample_genus_filtered(300, 147, 10_000, RngStream(147))
-    assert len(result.gluings) >= 20
-    hist = empirical_density(_spectra(result.gluings), bins=BINS)
+    # every genus-147 map of the whole 10,000-draw budget: one map is wanted
+    # per draw, so the budget ends first and the error carries them all
+    with pytest.raises(BudgetExhaustedError) as info:
+        sample_genus_filtered(300, 147, 10_000, RngStream(147), num_samples=10_000)
+    gluings, attempts = info.value.gluings, info.value.attempts
+    assert len(gluings) >= 20
+    hist = empirical_density(_spectra(gluings), bins=BINS)
     l1 = l1_histogram_distance(hist, mckay_density)
     assert l1 <= 0.10
     print(
-        f"\n[criterion 10] PASS {len(result.gluings)} genus-147 maps from "
-        f"{result.attempts} draws; L1 vs f3 = {l1:.4f} <= 0.10"
+        f"\n[criterion 10] PASS {len(gluings)} genus-147 maps from "
+        f"{attempts} draws; L1 vs f3 = {l1:.4f} <= 0.10"
     )
 
 

@@ -433,3 +433,18 @@ def test_error_contract(argv, ensemble, code, err, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: {err}\n"
     assert captured.out == ""
+
+
+def test_eigensolver_failure_is_exit_5(monkeypatch, tmp_path, capsys):
+    from onefacemaps import spectra
+
+    def fail(work):
+        raise np.linalg.LinAlgError("dsyevd returned info = 1")
+
+    monkeypatch.setattr(spectra, "_symmetric_eigenvalues", fail)
+    ens = tmp_path / "ens.jsonl"
+    ens.write_text(_RECORD.format(n=2, partner=[3, 4, 1, 2], genus=1))  # K4: the dense path
+    assert run("spectrum", ens) == 5
+    captured = capsys.readouterr()
+    assert captured.err == "error: eigensolver did not converge: dsyevd returned info = 1\n"
+    assert captured.out == ""

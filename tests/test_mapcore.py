@@ -16,10 +16,14 @@ from onefacemaps import (
     Gluing,
     RngStream,
     build_adjacency,
+    closed_walk_counts,
     enumerate_all_gluings,
     enumerate_ncpp,
     genus,
+    genus_distribution,
+    harer_zagier,
     read_records,
+    sample_genus_filtered,
     sample_ncpp,
     sample_uniform_gluing,
     vertex_cycles,
@@ -39,12 +43,14 @@ def test_identity_partner_has_fixed_point():
 
 def test_odd_length_rejected():
     with pytest.raises(ValueError, match="must have length 2n = 2, got 3"):
-        Gluing(n=1, partner=(2, 3, 1))
+        Gluing(partner=(2, 3, 1))
 
 
-def test_declared_size_mismatch_rejected():
-    with pytest.raises(ValueError, match="must have length 2n = 6, got 4"):
-        Gluing(n=3, partner=(2, 1, 4, 3))
+def test_a_gluing_is_its_partner_table():
+    g = Gluing(partner=(3, 4, 1, 2))
+    assert [f.name for f in dataclasses.fields(Gluing)] == ["partner"]
+    assert g.n == 2
+    assert g == brute.gluing([3, 4, 1, 2]) and hash(g) == hash(brute.gluing([3, 4, 1, 2]))
 
 
 def test_non_involution_rejected():
@@ -63,34 +69,64 @@ def test_empty_partner_rejected():
 
 
 @pytest.mark.parametrize(
-    "n, partner, fault",
+    "partner, fault",
     [
-        (1, (2, True), "partner of 2 must be an int, got True"),
-        (1.0, (2, 1), "n must be an int, got 1.0"),
-        (True, (2, 1), "n must be an int, got True"),
-        (1, ("2", "1"), "partner of 1 must be an int, got '2'"),
-        (2, (2.0, 1, 4, 3), "partner of 1 must be an int, got 2.0"),
-        (1, (np.int64(2), np.int64(1)), "partner of 1 must be an int"),
-        (np.int64(1), (2, 1), "n must be an int"),
+        ((2, True), "partner of 2 must be an int, got True"),
+        (("2", "1"), "partner of 1 must be an int, got '2'"),
+        ((2.0, 1, 4, 3), "partner of 1 must be an int, got 2.0"),
+        ((np.int64(2), np.int64(1)), "partner of 1 must be an int"),
     ],
+    ids=["bool", "str", "float", "numpy"],
 )
-def test_labels_that_are_not_ints_rejected(n, partner, fault):
+def test_labels_that_are_not_ints_rejected(partner, fault):
     with pytest.raises(ValueError, match=re.escape(fault)):
-        Gluing(n=n, partner=partner)
+        Gluing(partner=partner)
+
+
+@pytest.mark.parametrize(
+    "call, fault",
+    [
+        (lambda: sample_uniform_gluing(2.5, RngStream(0)), "n must be an int, got 2.5"),
+        (lambda: sample_uniform_gluing(True, RngStream(0)), "n must be an int, got True"),
+        (lambda: sample_ncpp(2.5, RngStream(0)), "n must be an int, got 2.5"),
+        (lambda: sample_ncpp(True, RngStream(0)), "n must be an int, got True"),
+        (lambda: RngStream(1.5), "master_seed must be an int, got 1.5"),
+        (lambda: RngStream("3"), "master_seed must be an int, got '3'"),
+        (lambda: RngStream(0, 1.0), "stream_index must be an int, got 1.0"),
+        (lambda: sample_genus_filtered(6, 1.0, 10, RngStream(0), num_samples=1),
+         "target_genus must be an int, got 1.0"),
+        (lambda: sample_genus_filtered(6, 1, 10, RngStream(0), num_samples=2.5),
+         "num_samples must be an int, got 2.5"),
+        (lambda: sample_genus_filtered(6, 1, 1e4, RngStream(0), num_samples=1),
+         "max_attempts must be an int, got 10000.0"),
+        (lambda: harer_zagier(1.0, 4), "g must be an int, got 1.0"),
+        (lambda: genus_distribution(4.5), "n must be an int, got 4.5"),
+        (lambda: enumerate_ncpp(2.0), "n must be an int, got 2.0"),
+        (lambda: enumerate_all_gluings(np.int64(2)), "n must be an int, got "),
+        (lambda: closed_walk_counts(brute.gluing([2, 1]), 2.5), "r_max must be an int, got 2.5"),
+        (lambda: sample_uniform_gluing(2, 7), "rng must be an RngStream or a numpy Generator"),
+    ],
+    ids=["uniform-float", "uniform-bool", "ncpp-float", "ncpp-bool", "seed-float", "seed-str",
+         "index-float", "genus-float", "samples-float", "budget-float", "count-float",
+         "table-float", "enum-ncpp-float", "enum-all-numpy", "walks-float", "rng-int"],
+)
+def test_integer_parameters_that_are_not_ints_rejected(call, fault):
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        call()
 
 
 @pytest.mark.parametrize("partner", [[2, 1], None])
 def test_partner_that_is_not_a_tuple_rejected(partner):
     with pytest.raises(ValueError, match=f"partner must be a tuple, got {type(partner).__name__}"):
-        Gluing(n=1, partner=partner)
+        Gluing(partner=partner)
 
 
 def test_replace_with_invalid_partner_rejected():
     g = brute.gluing([2, 1, 4, 3])
     with pytest.raises(ValueError, match=r"partner\[2\] = 3 but partner\[1\] = 2"):
         dataclasses.replace(g, partner=(2, 3, 4, 1))
-    with pytest.raises(ValueError, match="must have length 2n = 6, got 4"):
-        dataclasses.replace(g, n=3)
+    with pytest.raises(ValueError, match="must have length 2n = 2, got 3"):
+        dataclasses.replace(g, partner=(2, 1, 4))
 
 
 def _conjugated(perms) -> list[tuple[int, ...]]:
@@ -208,11 +244,17 @@ def test_every_small_and_drawn_gluing_survives_its_records(tmp_path):
     assert read_records(path) == records
 
 
-def test_record_parse_error():
-    with pytest.raises(ValueError, match="bad ensemble record: partner table must have length"):
-        EnsembleRecord.from_json('{"n": 2, "partner": [3, 4, 1]}')
-    with pytest.raises(ValueError, match="bad ensemble record: Expecting value"):
-        EnsembleRecord.from_json("not json")
+def test_record_parse_error(tmp_path):
+    path = tmp_path / "ens.jsonl"
+    path.write_text('{"n": 2, "partner": [3, 4, 1]}\n')
+    with pytest.raises(ValueError) as info:
+        read_records(path)
+    assert str(info.value) == (
+        "record on line 1: bad ensemble record: partner table must have length 2n = 4, got 3"
+    )
+    path.write_text("not json\n")
+    with pytest.raises(ValueError, match="^record on line 1: bad ensemble record: Expecting value"):
+        read_records(path)
 
 
 def _write_lines(path, *objs):
@@ -233,7 +275,6 @@ def test_read_records_rejects_wrong_stored_genus(tmp_path):
 def test_read_records_rejects_invalid_gluings(tmp_path):
     path = tmp_path / "ens.jsonl"
     for partner, n, fault in (
-        ([2, 1, 4, 3], 3, "partner table must have length 2n = 6, got 4"),
         ([1, 2], 1, "label 1 is glued to itself"),
         ([2, 3, 1, 4], 2, r"partner\[2\] = 3 but partner\[1\] = 2"),
     ):
@@ -243,6 +284,16 @@ def test_read_records_rejects_invalid_gluings(tmp_path):
 
 
 GOOD_RECORD = {"n": 2, "partner": [2, 1, 4, 3], "genus": 0, "seed": 7, "sample_index": 0}
+
+
+def test_declared_size_mismatch_rejected(tmp_path):
+    # a record is the one place where a size arrives beside its partner table
+    path = tmp_path / "ens.jsonl"
+    for n in (3, 1, 0, -2):
+        _write_lines(path, GOOD_RECORD, {**GOOD_RECORD, "n": n})
+        fault = f"line 2: bad ensemble record: partner table must have length 2n = {2 * n}, got 4"
+        with pytest.raises(ValueError, match=fault):
+            read_records(path)
 
 
 def test_read_records_names_the_line_that_does_not_parse(tmp_path):

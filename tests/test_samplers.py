@@ -155,17 +155,9 @@ def test_genus_filtered_square_torus():
     assert {g.partner for g in result.gluings} == {(3, 4, 1, 2)}
 
 
-def test_genus_filtered_collects_everything_without_target_count():
-    result = sample_genus_filtered(4, 0, 2_000, RngStream(8))
-    assert result.attempts == 2_000
-    # about 14/105 of draws are genus zero
-    assert 150 < len(result.gluings) < 400
-    assert all(genus(g) == 0 for g in result.gluings)
-
-
 def test_genus_filtered_budget_exhausted():
     with pytest.raises(BudgetExhaustedError) as info:
-        sample_genus_filtered(50, 0, 300, RngStream(1))
+        sample_genus_filtered(50, 0, 300, RngStream(1), num_samples=1)
     assert info.value.attempts == 300
     assert info.value.gluings == []
 
@@ -179,9 +171,9 @@ def test_genus_filtered_partial_results_attached():
 
 def test_genus_filtered_target_validation():
     with pytest.raises(ValueError, match=r"target genus must lie in 0\.\.2, got 3"):
-        sample_genus_filtered(4, 3, 10, RngStream(0))
+        sample_genus_filtered(4, 3, 10, RngStream(0), num_samples=1)
     with pytest.raises(ValueError, match="need n >= 1"):
-        sample_genus_filtered(-1, 0, 10, RngStream(0))
+        sample_genus_filtered(-1, 0, 10, RngStream(0), num_samples=1)
 
 
 @pytest.mark.parametrize("num_samples", [0, -3])
@@ -208,10 +200,12 @@ def test_genus_filtered_equals_single_draw_loop(n, half, num_samples):
     target = n // 2 if half else 0
     # budgets that end mid-batch, and that run out before the request is met
     for budget, seed in itertools.product((1, 60, 400), range(3)):
+        # None: one map wanted per draw, so every draw of the budget is made
+        wanted = budget if num_samples is None else num_samples
         batched, single = RngStream(seed, 9).generator(), RngStream(seed, 9).generator()
-        got = _filtered_outcome(sample_genus_filtered, n, target, budget, batched, num_samples)
+        got = _filtered_outcome(sample_genus_filtered, n, target, budget, batched, wanted)
         want = _filtered_outcome(brute.genus_filtered_by_single_draws, n, target, budget, single,
-                                 num_samples)
+                                 wanted)
         assert got == want
         # the caller's generator is left where the single-draw loop leaves it
         assert batched.integers(2**63) == single.integers(2**63)

@@ -97,6 +97,16 @@ def test_rejects_nonsymmetric_and_odd_inputs():
         eigenvalues_symmetric(np.zeros((2, 4), dtype=np.int64))
 
 
+@pytest.mark.parametrize(
+    "a, dtype",
+    [(np.array([[0, 1j], [1j, 0]]), "complex128"), (np.array([[0, None], [None, 0]]), "object")],
+)
+def test_rejects_entries_that_are_not_real_numbers(a, dtype):
+    # a cast to float64 would drop the imaginary parts, or fail on None
+    with pytest.raises(ValueError, match=f"matrix entries must be real numbers, got dtype {dtype}"):
+        eigenvalues_symmetric(a)
+
+
 def test_rejects_the_empty_matrix():
     with pytest.raises(ValueError, match="got an empty matrix"):
         eigenvalues_symmetric(np.zeros((0, 0), dtype=np.int64))

@@ -12,7 +12,6 @@ from onefacemaps import (
     RngStream,
     Spectrum,
     build_adjacency,
-    bulk_spacings,
     eigenvalues_symmetric,
     empirical_density,
     exponential_cdf,
@@ -23,6 +22,7 @@ from onefacemaps import (
     l1_histogram_distance,
     mckay_density,
     mean_jth_spacing,
+    pooled_bulk_spacings,
     sample_ncpp,
     sample_uniform_gluing,
     spacing_distribution,
@@ -107,16 +107,16 @@ def test_genus_zero_density_is_even_within_counting_noise():
 
 
 def test_bulk_spacings_uniform_ladder():
-    assert bulk_spacings(_ladder([0, 1, 2, 3]), 1.0) == pytest.approx([1, 1, 1])
+    assert pooled_bulk_spacings([_ladder([0, 1, 2, 3])], 1.0) == pytest.approx([1, 1, 1])
 
 
 def test_bulk_spacings_scaling_to_mean_one():
-    assert bulk_spacings(_ladder([0, 1, 4, 9]), 1.0)[:2] == pytest.approx([1 / 3, 1.0])
-    assert bulk_spacings(_ladder([0, 1, 3, 4]), 1.0) == pytest.approx([0.75, 1.5, 0.75])
+    assert pooled_bulk_spacings([_ladder([0, 1, 4, 9])], 1.0)[:2] == pytest.approx([1 / 3, 1.0])
+    assert pooled_bulk_spacings([_ladder([0, 1, 3, 4])], 1.0) == pytest.approx([0.75, 1.5, 0.75])
 
 
 def test_bulk_spacings_trims_edges():
-    spaced = bulk_spacings(_ladder([-100, 0, 1, 2, 3, 100]), bulk_fraction=0.6)
+    spaced = pooled_bulk_spacings([_ladder([-100, 0, 1, 2, 3, 100])], bulk_fraction=0.6)
     # central 60% of six values is values[1:5]; unit spacings
     assert spaced == pytest.approx([1, 1, 1])
 
@@ -131,17 +131,17 @@ def test_bulk_spacings_trims_edges():
     st.floats(min_value=0.3, max_value=1.0),
 )
 def test_bulk_spacings_mean_is_one(values, fraction):
-    spaced = bulk_spacings(_ladder(sorted(values)), fraction)
+    spaced = pooled_bulk_spacings([_ladder(sorted(values))], fraction)
     assert abs(spaced.mean() - 1.0) < 1e-12
 
 
 def test_bulk_spacings_degenerate():
     with pytest.raises(ValueError, match="all bulk spacings are zero"):
-        bulk_spacings(_ladder([2, 2, 2, 2]), 1.0)
+        pooled_bulk_spacings([_ladder([2, 2, 2, 2])], 1.0)
     with pytest.raises(ValueError, match="need at least 4 eigenvalues"):
-        bulk_spacings(_ladder([0, 1]), 1.0)
+        pooled_bulk_spacings([_ladder([0, 1])], 1.0)
     with pytest.raises(ValueError, match=r"bulk_fraction must lie in \(0, 1\], got 0\.0"):
-        bulk_spacings(_ladder([0, 1, 2, 3]), 0.0)
+        pooled_bulk_spacings([_ladder([0, 1, 2, 3])], 0.0)
 
 
 def test_spacing_distribution_of_ladders_is_a_spike():
