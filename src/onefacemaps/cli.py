@@ -69,19 +69,12 @@ def _spectra(records: list[EnsembleRecord]) -> Iterator[Spectrum]:
         yield eigenvalues_symmetric(build_adjacency(rec.gluing))
 
 
-def _write_table(
-    path: str | None, fmt: str, columns: tuple[str, ...], rows: Iterable[tuple]
-) -> None:
-    """Rows of ints and ``_fmt`` strings as CSV with a header, or as one
-    JSON object per line."""
+def _write_table(path: str | None, columns: tuple[str, ...], rows: Iterable[tuple]) -> None:
+    """Rows of ints and ``_fmt`` strings as CSV with a header."""
     with _open_out(path) as fh:
-        if fmt == "csv":
-            fh.write(",".join(columns) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            if fmt == "json":
-                fh.write("{" + ",".join(f'"{c}":{v}' for c, v in zip(columns, row)) + "}\n")
-            else:
-                fh.write(",".join(str(v) for v in row) + "\n")
+            fh.write(",".join(str(v) for v in row) + "\n")
 
 
 def cmd_generate(args) -> int:
@@ -146,7 +139,7 @@ def cmd_density(args) -> int:
     hist = stats.empirical_density(_spectra(_read_ensemble(args.ensemble)), bins=bins)
     mckay = stats.mckay_density(hist.bin_centers)
     rows = (tuple(map(_fmt, row)) for row in zip(hist.bin_centers, hist.densities, mckay))
-    _write_table(args.out, "csv", ("bin_center", "density", "mckay"), rows)
+    _write_table(args.out, ("bin_center", "density", "mckay"), rows)
     return EXIT_OK
 
 
@@ -163,7 +156,7 @@ def cmd_spacings(args) -> int:
     surmise = stats.goe_surmise_density(hist.bin_centers)
     expo = stats.exponential_density(hist.bin_centers)
     rows = (tuple(map(_fmt, row)) for row in zip(hist.bin_centers, hist.densities, surmise, expo))
-    _write_table(args.out, "csv", ("bin_center", "density", "goe_surmise", "exponential"), rows)
+    _write_table(args.out, ("bin_center", "density", "goe_surmise", "exponential"), rows)
     return EXIT_OK
 
 
@@ -172,13 +165,13 @@ def cmd_meanjth(args) -> int:
 
     means = stats.mean_jth_spacing(_spectra(_read_ensemble(args.ensemble)))
     rows = ((j, _fmt(value)) for j, value in enumerate(means, start=1))
-    _write_table(args.out, "csv", ("j", "mean_spacing"), rows)
+    _write_table(args.out, ("j", "mean_spacing"), rows)
     return EXIT_OK
 
 
 def cmd_genus(args) -> int:
     rows = ((rec.sample_index, rec.genus) for rec in _read_ensemble(args.ensemble))
-    _write_table(args.out, args.format, ("sample_index", "genus"), rows)
+    _write_table(args.out, ("sample_index", "genus"), rows)
     return EXIT_OK
 
 
@@ -189,7 +182,7 @@ def cmd_degrees(args) -> int:
         for degree, count in topology.degree_distribution(rec.gluing).items():
             totals[degree] = totals.get(degree, 0) + count
     rows = ((degree, _fmt(totals[degree] / len(records))) for degree in sorted(totals))
-    _write_table(args.out, args.format, ("degree", "mean_count"), rows)
+    _write_table(args.out, ("degree", "mean_count"), rows)
     return EXIT_OK
 
 
@@ -200,7 +193,7 @@ def cmd_walks(args) -> int:
         for rec in _read_ensemble(args.ensemble)
     ]
     columns = ("sample_index", *(f"w{r}" for r in range(1, args.rmax + 1)))
-    _write_table(args.out, "csv", columns, rows)
+    _write_table(args.out, columns, rows)
     return EXIT_OK
 
 
@@ -261,13 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genus", help="genus of each record")
     p.add_argument("ensemble")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_genus)
 
     p = sub.add_parser("degrees", help="mean vertex-degree counts over an ensemble")
     p.add_argument("ensemble")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_degrees)
 

@@ -12,7 +12,6 @@ wrong term raises instead of rounding.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterator
 
 from .mapcore import Gluing, _exact_int
@@ -21,18 +20,15 @@ ENUMERATE_ALL_MAX = 8  # (2n-1)!! past this is unreasonable to stream
 ENUMERATE_NCPP_MAX = 14  # C_14 = 2674440
 
 
-def _harer_zagier_rows(g_max: int) -> Iterator[list[int]]:
-    """Rows [ε_0(m), ..., ε_h(m)] with h = min(m // 2, g_max), for m = 0, 1, 2, ...
+def _harer_zagier_row(n: int, g_max: int) -> list[int]:
+    """Row [ε_0(n), ..., ε_h(n)] with h = min(n // 2, g_max).
 
     Column g of a row needs only columns g and g-1 of the two rows before
     it, so cutting the rows at g_max loses nothing below it, and only the
     last two rows are kept.
     """
     before, last = [], [1]  # rows m-2 and m-1, starting from m = 1
-    m = 0
-    while True:
-        yield last
-        m += 1
+    for m in range(1, n + 1):
         same_genus = 2 * (2 * m - 1)
         one_genus_down = (m - 1) * (2 * m - 1) * (2 * m - 3)
         last_padded = last + [0]  # ε_{m/2}(m-1) = 0 when m is even
@@ -46,10 +42,7 @@ def _harer_zagier_rows(g_max: int) -> Iterator[list[int]]:
                 raise ArithmeticError(f"Harer-Zagier division not exact at g={g}, n={m}")
             row.append(value)
         before, last = last, row
-
-
-def _harer_zagier_row(n: int, g_max: int) -> list[int]:
-    return next(islice(_harer_zagier_rows(g_max), n, None))
+    return last
 
 
 def harer_zagier(g: int, n: int) -> int:

@@ -48,7 +48,7 @@ class Gluing:
             raise ValueError(f"partner must be a tuple, got {type(self.partner).__name__}")
         two_n = len(self.partner)
         if two_n % 2 != 0 or two_n == 0:
-            raise ValueError(f"partner table must have length 2n = {2 * self.n}, got {two_n}")
+            raise ValueError(f"partner table must have even length 2n >= 2, got {two_n}")
         for i, p in enumerate(self.partner, start=1):
             # exact ints only, as _exact_int asks, inlined for the per-label loop
             if type(p) is not int:
@@ -185,6 +185,13 @@ class EnsembleRecord:
     seed: int
     sample_index: int
 
+    def __post_init__(self):
+        # checked here, so every record that exists can be written and read back
+        if not isinstance(self.gluing, Gluing):
+            raise ValueError(f"gluing must be a Gluing, got {type(self.gluing).__name__}")
+        for name in ("genus", "seed", "sample_index"):
+            _exact_int(getattr(self, name), name)
+
     @property
     def n(self) -> int:
         return self.gluing.n
@@ -203,33 +210,28 @@ def _record_line(rec: EnsembleRecord) -> str:
     )
 
 
-def _json_int(value, field: str) -> int:
-    # bool is an int subclass, and int() would also take "2", 2.9 or true
-    if type(value) is not int:
-        raise ValueError(f"{field} must be a JSON integer, got {json.dumps(value)}")
-    return value
-
-
 def _parse_record(line: str, line_no: int) -> EnsembleRecord:
     """The record on one line, checked as ``read_records`` describes."""
     try:
         obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise ValueError(f"a record must be a JSON object, got {type(obj).__name__}")
         partner = obj["partner"]
         if not isinstance(partner, list):
             raise ValueError(f"partner must be a JSON list, got {json.dumps(partner)}")
-        n = _json_int(obj["n"], "n")
-        partner = tuple(_json_int(p, "partner entry") for p in partner)
+        n = _exact_int(obj["n"], "n")
         # the one place where a size arrives beside its table
         if len(partner) != 2 * n:
             raise ValueError(f"partner table must have length 2n = {2 * n}, got {len(partner)}")
         rec = EnsembleRecord(
-            gluing=Gluing(partner=partner),
-            genus=_json_int(obj["genus"], "genus"),
-            seed=_json_int(obj["seed"], "seed"),
-            sample_index=_json_int(obj["sample_index"], "sample_index"),
+            gluing=Gluing(partner=tuple(partner)),
+            genus=obj["genus"],
+            seed=obj["seed"],
+            sample_index=obj["sample_index"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"record on line {line_no}: bad ensemble record: {exc}") from exc
+    except (KeyError, ValueError) as exc:
+        fault = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"record on line {line_no}: bad ensemble record: {fault}") from exc
     from . import topology  # imports this module, so it cannot be imported at its top
 
     actual = topology.genus(rec.gluing)
@@ -254,9 +256,10 @@ def write_records(path, records: Iterable[EnsembleRecord]) -> None:
 def read_records(path) -> list[EnsembleRecord]:
     """Read the JSON-lines ensemble file at ``path``.
 
-    ``n``, ``genus``, ``seed``, ``sample_index`` and every entry of the
-    list ``partner`` must be JSON integers, and ``n`` half the length of
-    ``partner``.  Raises ValueError naming the line of the first record
+    Each line must be a JSON object whose ``partner`` is a list and whose
+    ``n`` is an integer equal to half its length; ``Gluing`` and
+    ``EnsembleRecord`` check the labels and the other fields, which must be
+    integers too.  Raises ValueError naming the line of the first record
     that does not parse, breaks one of these rules, has an invalid gluing,
     or stores a genus that differs from its gluing's.
     """

@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .mapcore import _exact_int
 from .spectra import Spectrum
 
 DENSITY_SUPPORT = (-3.0, 3.0)
@@ -76,6 +77,8 @@ def exponential_cdf(s):
 def _pooled_histogram(
     values: np.ndarray, bins: int, support: tuple[float, float]
 ) -> HistogramDensity:
+    if _exact_int(bins, "bins") < 1:
+        raise ValueError(f"need bins >= 1, got {bins}")
     counts, edges = np.histogram(values, bins=bins, range=support)
     in_range = counts.sum()
     if in_range == 0:

@@ -42,7 +42,7 @@ def test_identity_partner_has_fixed_point():
 
 
 def test_odd_length_rejected():
-    with pytest.raises(ValueError, match="must have length 2n = 2, got 3"):
+    with pytest.raises(ValueError, match="must have even length 2n >= 2, got 3"):
         Gluing(partner=(2, 3, 1))
 
 
@@ -64,7 +64,7 @@ def test_out_of_range_label_rejected():
 
 
 def test_empty_partner_rejected():
-    with pytest.raises(ValueError, match="must have length 2n = 0, got 0"):
+    with pytest.raises(ValueError, match="must have even length 2n >= 2, got 0"):
         brute.gluing([])
 
 
@@ -125,7 +125,7 @@ def test_replace_with_invalid_partner_rejected():
     g = brute.gluing([2, 1, 4, 3])
     with pytest.raises(ValueError, match=r"partner\[2\] = 3 but partner\[1\] = 2"):
         dataclasses.replace(g, partner=(2, 3, 4, 1))
-    with pytest.raises(ValueError, match="must have length 2n = 2, got 3"):
+    with pytest.raises(ValueError, match="must have even length 2n >= 2, got 3"):
         dataclasses.replace(g, partner=(2, 1, 4))
 
 
@@ -232,6 +232,22 @@ def test_record_json_roundtrip(tmp_path):
     assert back[0].n == 2
 
 
+@pytest.mark.parametrize(
+    "field, value, fault",
+    [
+        ("gluing", (2, 1), "gluing must be a Gluing, got tuple"),
+        ("genus", np.int64(0), "genus must be an int, got "),
+        ("seed", True, "seed must be an int, got True"),
+        ("sample_index", 0.5, "sample_index must be an int, got 0.5"),
+    ],
+    ids=["gluing-tuple", "genus-numpy", "seed-bool", "index-float"],
+)
+def test_record_fields_checked_at_construction(field, value, fault):
+    fields = {"gluing": brute.gluing([2, 1]), "genus": 0, "seed": 0, "sample_index": 0}
+    with pytest.raises(ValueError, match=re.escape(fault)):
+        EnsembleRecord(**{**fields, field: value})
+
+
 def test_every_small_and_drawn_gluing_survives_its_records(tmp_path):
     gluings = [g for n in range(1, 6) for g in (*enumerate_all_gluings(n), *enumerate_ncpp(n))]
     for n in (1, 2, 7, 60):
@@ -306,18 +322,40 @@ def test_read_records_names_the_line_that_does_not_parse(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "field, value",
+    "field, value, fault",
     [
-        ("partner", "2143"),
-        ("partner", [2.9, 1.5, 4.2, 3.99]),
-        ("seed", True),
-        ("sample_index", 0.7),
-        ("n", 2.0),
-        ("genus", False),
+        pytest.param("partner", "2143", 'partner must be a JSON list, got "2143"', id="partner-2143"),
+        pytest.param("partner", [2.9, 1.5, 4.2, 3.99], "partner of 1 must be an int, got 2.9",
+                     id="partner-value1"),
+        pytest.param("seed", True, "seed must be an int, got True", id="seed-True"),
+        pytest.param("sample_index", 0.7, "sample_index must be an int, got 0.7",
+                     id="sample_index-0.7"),
+        pytest.param("n", 2.0, "n must be an int, got 2.0", id="n-2.0"),
+        pytest.param("genus", False, "genus must be an int, got False", id="genus-False"),
     ],
 )
-def test_read_records_rejects_fields_that_are_not_json_integers(tmp_path, field, value):
+def test_read_records_rejects_fields_that_are_not_json_integers(tmp_path, field, value, fault):
     path = tmp_path / "ens.jsonl"
     _write_lines(path, GOOD_RECORD, {**GOOD_RECORD, field: value})
-    with pytest.raises(ValueError, match=f"line 2: bad ensemble record: {field}( entry)? must be a JSON"):
+    with pytest.raises(ValueError) as info:
         read_records(path)
+    assert str(info.value) == f"record on line 2: bad ensemble record: {fault}"
+
+
+@pytest.mark.parametrize(
+    "line, fault",
+    [
+        ("[1, 2]", "a record must be a JSON object, got list"),
+        ("null", "a record must be a JSON object, got NoneType"),
+        ('"2143"', "a record must be a JSON object, got str"),
+        ('{"n": 2, "partner": [2, 1, 4, 3], "genus": 0, "seed": 7}', "missing key 'sample_index'"),
+        ('{"n": 2, "genus": 0, "seed": 7, "sample_index": 0}', "missing key 'partner'"),
+    ],
+    ids=["list", "null", "string", "no-sample-index", "no-partner"],
+)
+def test_read_records_rejects_lines_that_are_not_records(tmp_path, line, fault):
+    path = tmp_path / "ens.jsonl"
+    path.write_text(json.dumps(GOOD_RECORD) + "\n" + line + "\n")
+    with pytest.raises(ValueError) as info:
+        read_records(path)
+    assert str(info.value) == f"record on line 2: bad ensemble record: {fault}"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,23 @@ def test_empirical_density_hand_count():
     s = eigenvalues_symmetric(build_adjacency(brute.gluing([3, 4, 1, 2])))
     hist = empirical_density([s], bins=2)
     assert hist.densities == pytest.approx([0.25, 1.0 / 12.0], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "bins, fault",
+    [
+        (2.5, "bins must be an int, got 2.5"),
+        (True, "bins must be an int, got True"),
+        (0, "need bins >= 1, got 0"),
+    ],
+    ids=["float", "bool", "zero"],
+)
+def test_histogram_bins_that_are_not_positive_ints_rejected(bins, fault):
+    s = eigenvalues_symmetric(build_adjacency(brute.gluing([3, 4, 1, 2])))
+    with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+        empirical_density([s], bins=bins)
+    with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+        spacing_distribution([s], bulk_fraction=1.0, bins=bins)
 
 
 def test_empirical_density_integrates_to_one():
