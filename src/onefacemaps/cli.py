@@ -229,43 +229,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("spectrum", help="eigenvalues of each map, one CSV row per record")
-    p.add_argument("ensemble")
-    p.add_argument("--out", default=None)
+    # the seven commands that read an ensemble file
+    reader = argparse.ArgumentParser(add_help=False)
+    reader.add_argument("ensemble")
+    reader.add_argument("--out", default=None)
+
+    p = sub.add_parser("spectrum", parents=[reader], help="eigenvalues of each map, one CSV row per record")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("density", help="pooled eigenvalue density with reference curve")
-    p.add_argument("ensemble")
+    p = sub.add_parser("density", parents=[reader], help="pooled eigenvalue density with reference curve")
     p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("spacings", help="scaled bulk spacing distribution with references")
-    p.add_argument("ensemble")
+    p = sub.add_parser("spacings", parents=[reader], help="scaled bulk spacing distribution with references")
     p.add_argument("--bins", type=int, default=None)
     p.add_argument("--bulk-fraction", type=float, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spacings)
 
-    p = sub.add_parser("meanjth", help="mean j-th spacing as a function of j")
-    p.add_argument("ensemble")
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("meanjth", parents=[reader], help="mean j-th spacing as a function of j")
     p.set_defaults(func=cmd_meanjth)
 
-    p = sub.add_parser("genus", help="genus of each record")
-    p.add_argument("ensemble")
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("genus", parents=[reader], help="genus of each record")
     p.set_defaults(func=cmd_genus)
 
-    p = sub.add_parser("degrees", help="mean vertex-degree counts over an ensemble")
-    p.add_argument("ensemble")
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("degrees", parents=[reader], help="mean vertex-degree counts over an ensemble")
     p.set_defaults(func=cmd_degrees)
 
-    p = sub.add_parser("walks", help="closed-walk counts per record")
-    p.add_argument("ensemble")
+    p = sub.add_parser("walks", parents=[reader], help="closed-walk counts per record")
     p.add_argument("--rmax", type=int, default=10)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_walks)
 
     return parser

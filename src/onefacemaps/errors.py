@@ -19,9 +19,9 @@ class BudgetExhaustedError(RuntimeError):
     spent in ``attempts``.
     """
 
-    def __init__(self, message: str, gluings=None, attempts: int = 0):
+    def __init__(self, message: str, gluings, attempts: int):
         super().__init__(message)
-        self.gluings = list(gluings) if gluings is not None else []
+        self.gluings = list(gluings)
         self.attempts = attempts
 
 

@@ -177,7 +177,7 @@ class EnsembleRecord:
     every map from the one stream ``RngStream(seed, 0)``: there
     ``sample_index`` is the map's rank among the kept maps, and the map
     comes back only by drawing the ensemble again from ``seed``, with the
-    same ``n`` and genus.
+    same ``n`` and genus.  ``genus`` must be the gluing's own genus.
     """
 
     gluing: Gluing
@@ -191,6 +191,11 @@ class EnsembleRecord:
             raise ValueError(f"gluing must be a Gluing, got {type(self.gluing).__name__}")
         for name in ("genus", "seed", "sample_index"):
             _exact_int(getattr(self, name), name)
+        from . import topology  # imports this module, so it cannot be imported at its top
+
+        actual = topology.genus(self.gluing)
+        if self.genus != actual:
+            raise ValueError(f"genus is {self.genus}, its gluing has genus {actual}")
 
     @property
     def n(self) -> int:
@@ -210,10 +215,10 @@ def _record_line(rec: EnsembleRecord) -> str:
     )
 
 
-def _parse_record(line: str, line_no: int) -> EnsembleRecord:
+def _parse_record(line: bytes, line_no: int) -> EnsembleRecord:
     """The record on one line, checked as ``read_records`` describes."""
     try:
-        obj = json.loads(line)
+        obj = json.loads(line.decode("utf-8"))
         if not isinstance(obj, dict):
             raise ValueError(f"a record must be a JSON object, got {type(obj).__name__}")
         partner = obj["partner"]
@@ -223,7 +228,7 @@ def _parse_record(line: str, line_no: int) -> EnsembleRecord:
         # the one place where a size arrives beside its table
         if len(partner) != 2 * n:
             raise ValueError(f"partner table must have length 2n = {2 * n}, got {len(partner)}")
-        rec = EnsembleRecord(
+        return EnsembleRecord(
             gluing=Gluing(partner=tuple(partner)),
             genus=obj["genus"],
             seed=obj["seed"],
@@ -232,14 +237,6 @@ def _parse_record(line: str, line_no: int) -> EnsembleRecord:
     except (KeyError, ValueError) as exc:
         fault = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"record on line {line_no}: bad ensemble record: {fault}") from exc
-    from . import topology  # imports this module, so it cannot be imported at its top
-
-    actual = topology.genus(rec.gluing)
-    if rec.genus != actual:
-        raise ValueError(
-            f"record on line {line_no} stores genus {rec.genus}, its gluing has genus {actual}"
-        )
-    return rec
 
 
 def write_records(path, records: Iterable[EnsembleRecord]) -> None:
@@ -256,13 +253,15 @@ def write_records(path, records: Iterable[EnsembleRecord]) -> None:
 def read_records(path) -> list[EnsembleRecord]:
     """Read the JSON-lines ensemble file at ``path``.
 
-    Each line must be a JSON object whose ``partner`` is a list and whose
-    ``n`` is an integer equal to half its length; ``Gluing`` and
-    ``EnsembleRecord`` check the labels and the other fields, which must be
-    integers too.  Raises ValueError naming the line of the first record
-    that does not parse, breaks one of these rules, has an invalid gluing,
-    or stores a genus that differs from its gluing's.
+    Each line must be UTF-8 text holding a JSON object whose ``partner``
+    is a list and whose ``n`` is an integer equal to half its length;
+    ``Gluing`` and ``EnsembleRecord`` check the rest: the labels, the other
+    fields, which must be integers too, and the stored genus.  Blank lines
+    are skipped.  Raises ValueError naming the line of the first record
+    that fails any of these checks.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        return [_parse_record(line, line_no) for line_no, line in enumerate(fh, start=1)
-                if line.strip()]
+    with open(path, "rb") as fh:
+        # splits at LF, CRLF and CR alike, as a text-mode read does
+        lines = fh.read().splitlines()
+    return [_parse_record(line, line_no) for line_no, line in enumerate(lines, start=1)
+            if line.strip()]

@@ -37,8 +37,8 @@ from .mapcore import _parity_blocks_vanish
 class Spectrum:
     """Ascending eigenvalues of one map's adjacency matrix.
 
-    Always 2n values in [-3, 3]; the top value is 3 because the spanning
-    cycle keeps the graph connected and three-regular.
+    Always 2n values in [-3, 3]; the top value is 3 up to round-off
+    because the spanning cycle keeps the graph connected and three-regular.
     """
 
     values: np.ndarray

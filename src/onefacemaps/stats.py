@@ -74,11 +74,23 @@ def exponential_cdf(s):
     return np.where(s >= 0.0, -np.expm1(-np.clip(s, 0.0, None)), 0.0)
 
 
+def _check_bins(bins: int) -> None:
+    if _exact_int(bins, "bins") < 1:
+        raise ValueError(f"need bins >= 1, got {bins}")
+
+
+def _ensemble_values(spectra: Iterable[Spectrum]) -> list[np.ndarray]:
+    """Each spectrum's values as float64; draws every spectrum, so a
+    statistic checks its parameters first."""
+    values = [np.asarray(s.values, dtype=np.float64) for s in spectra]
+    if not values:
+        raise ValueError("empty ensemble")
+    return values
+
+
 def _pooled_histogram(
     values: np.ndarray, bins: int, support: tuple[float, float]
 ) -> HistogramDensity:
-    if _exact_int(bins, "bins") < 1:
-        raise ValueError(f"need bins >= 1, got {bins}")
     counts, edges = np.histogram(values, bins=bins, range=support)
     in_range = counts.sum()
     if in_range == 0:
@@ -89,10 +101,8 @@ def _pooled_histogram(
 
 def empirical_density(spectra: Iterable[Spectrum], bins: int = DEFAULT_BINS) -> HistogramDensity:
     """Area-normalized histogram of all eigenvalues pooled over an ensemble."""
-    spectra = list(spectra)
-    if not spectra:
-        raise ValueError("empty ensemble")
-    values = np.concatenate([np.asarray(s.values, dtype=np.float64) for s in spectra])
+    _check_bins(bins)
+    values = np.concatenate(_ensemble_values(spectra))
     # snap round-off dust at the spectral edges back into range
     lo, hi = DENSITY_SUPPORT
     values[(values < lo) & (values >= lo - _EDGE_SNAP)] = lo
@@ -106,6 +116,7 @@ def spacing_distribution(
     bins: int = DEFAULT_BINS,
 ) -> HistogramDensity:
     """Histogram of :func:`pooled_bulk_spacings`, area-normalized."""
+    _check_bins(bins)
     return _pooled_histogram(pooled_bulk_spacings(spectra, bulk_fraction), bins, SPACING_SUPPORT)
 
 
@@ -114,16 +125,15 @@ def pooled_bulk_spacings(
 ) -> np.ndarray:
     """Consecutive spacings over the central ``bulk_fraction`` of each
     spectrum, scaled per spectrum to mean one, concatenated."""
-    spectra = list(spectra)
-    if not spectra:
-        raise ValueError("empty ensemble")
+    # a bool is an int to isinstance, and True would read as 1.0
+    if isinstance(bulk_fraction, bool) or not isinstance(bulk_fraction, (int, float, np.floating)):
+        raise ValueError(f"bulk_fraction must be a real number, got {bulk_fraction!r}")
     if not 0.0 < bulk_fraction <= 1.0:
         raise ValueError(f"bulk_fraction must lie in (0, 1], got {bulk_fraction}")
-    return np.concatenate([_bulk_spacings(s, bulk_fraction) for s in spectra])
+    return np.concatenate([_bulk_spacings(v, bulk_fraction) for v in _ensemble_values(spectra)])
 
 
-def _bulk_spacings(spectrum: Spectrum, bulk_fraction: float) -> np.ndarray:
-    values = np.asarray(spectrum.values, dtype=np.float64)
+def _bulk_spacings(values: np.ndarray, bulk_fraction: float) -> np.ndarray:
     if values.size < 4:
         raise ValueError("need at least 4 eigenvalues to take bulk spacings")
     drop = int(np.floor(values.size * (1.0 - bulk_fraction) / 2.0))
@@ -137,14 +147,11 @@ def _bulk_spacings(spectrum: Spectrum, bulk_fraction: float) -> np.ndarray:
 
 def mean_jth_spacing(spectra: Iterable[Spectrum]) -> np.ndarray:
     """Ensemble mean of the j-th raw spacing, j = 1..2n-1 (unscaled)."""
-    spectra = list(spectra)
-    if not spectra:
-        raise ValueError("empty ensemble")
-    sizes = {len(s.values) for s in spectra}
+    values = _ensemble_values(spectra)
+    sizes = {v.size for v in values}
     if len(sizes) != 1:
         raise ValueError(f"spectra of mixed lengths: {sorted(sizes)}")
-    stacked = np.stack([np.asarray(s.values, dtype=np.float64) for s in spectra])
-    return np.diff(stacked, axis=1).mean(axis=0)
+    return np.diff(np.stack(values), axis=1).mean(axis=0)
 
 
 def ks_distance(samples: Sequence[float], cdf: Callable) -> float:

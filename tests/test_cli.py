@@ -226,7 +226,8 @@ def test_wrong_stored_genus_is_validation_error(tmp_path, capsys):
     bad.write_text('{"n":2,"partner":[3,4,1,2],"genus":0,"seed":0,"sample_index":0}\n')
     out = tmp_path / "o.csv"
     assert run("spectrum", bad, "--out", out) == 2
-    assert "line 1 stores genus 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 1: bad ensemble record: genus is 0, its gluing has genus 1" in err
     assert not out.exists()
 
 
@@ -412,7 +413,10 @@ _TORUS_AS_SPHERE = _RECORD.format(n=2, partner=[3, 4, 1, 2], genus=0)
         (["meanjth", "{ens}"], _N2 + _N3, 2, "spectra of mixed lengths: [4, 6]"),
         (["density", "{ens}"], "", 2, "ensemble file has no records"),
         (["genus", "{ens}"], _TORUS_AS_SPHERE, 2,
-         "record on line 1 stores genus 0, its gluing has genus 1"),
+         "record on line 1: bad ensemble record: genus is 0, its gluing has genus 1"),
+        (["genus", "{ens}"], b"\xff\xfe" + _N2.encode(), 2,
+         "record on line 1: bad ensemble record: "
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         (["degrees", "{ens}"], _N2 + "[2, 1]\n", 2,
          "record on line 2: bad ensemble record: a record must be a JSON object, got list"),
         (["density", "{ens}", "--bins", 0], _N2, 2, "need bins >= 1, got 0"),
@@ -423,13 +427,38 @@ _TORUS_AS_SPHERE = _RECORD.format(n=2, partner=[3, 4, 1, 2], genus=0)
     ],
     ids=["samples0", "n0", "budget0", "seed-negative", "seed-big", "no-genus", "stray-genus",
          "count", "table", "enumerate", "walks", "spacings", "meanjth-mixed", "empty",
-         "wrong-genus", "not-an-object", "density-bins0", "spacings-bins-negative", "budget"],
+         "wrong-genus", "not-utf8", "not-an-object", "density-bins0", "spacings-bins-negative",
+         "budget"],
 )
 def test_error_contract(argv, ensemble, code, err, tmp_path, capsys):
     ens = tmp_path / "ens.jsonl"
     if ensemble is not None:
-        ens.write_text(ensemble)
+        ens.write_bytes(ensemble if isinstance(ensemble, bytes) else ensemble.encode())
     assert run(*(str(a).format(ens=ens) for a in argv)) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["density", "--bins", 0], "need bins >= 1, got 0"),
+        (["spacings", "--bins", 0], "need bins >= 1, got 0"),
+        (["spacings", "--bulk-fraction", 1.5], "bulk_fraction must lie in (0, 1], got 1.5"),
+    ],
+    ids=["density-bins0", "spacings-bins0", "spacings-bulk-fraction"],
+)
+def test_statistic_parameters_checked_before_any_spectrum(argv, err, monkeypatch, tmp_path, capsys):
+    from onefacemaps import spectra
+
+    def fail(a):
+        raise AssertionError("a spectrum was solved before the parameters were checked")
+
+    monkeypatch.setattr(spectra, "eigenvalues_symmetric", fail)
+    ens = tmp_path / "ens.jsonl"
+    ens.write_text(_N2 + _N2)
+    assert run(argv[0], ens, *argv[1:]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {err}\n"
     assert captured.out == ""

@@ -239,8 +239,9 @@ def test_record_json_roundtrip(tmp_path):
         ("genus", np.int64(0), "genus must be an int, got "),
         ("seed", True, "seed must be an int, got True"),
         ("sample_index", 0.5, "sample_index must be an int, got 0.5"),
+        ("genus", 5, "genus is 5, its gluing has genus 0"),
     ],
-    ids=["gluing-tuple", "genus-numpy", "seed-bool", "index-float"],
+    ids=["gluing-tuple", "genus-numpy", "seed-bool", "index-float", "genus-wrong"],
 )
 def test_record_fields_checked_at_construction(field, value, fault):
     fields = {"gluing": brute.gluing([2, 1]), "genus": 0, "seed": 0, "sample_index": 0}
@@ -282,8 +283,11 @@ def test_read_records_rejects_wrong_stored_genus(tmp_path):
     good = {"n": 2, "partner": [2, 1, 4, 3], "genus": 0, "seed": 7, "sample_index": 0}
     torus = {"n": 2, "partner": [3, 4, 1, 2], "genus": 0, "seed": 7, "sample_index": 1}
     _write_lines(path, good, torus)
-    with pytest.raises(ValueError, match="line 2 stores genus 0, its gluing has genus 1"):
+    with pytest.raises(ValueError) as info:
         read_records(path)
+    assert str(info.value) == (
+        "record on line 2: bad ensemble record: genus is 0, its gluing has genus 1"
+    )
     _write_lines(path, good, {**torus, "genus": 1})
     assert [r.genus for r in read_records(path)] == [0, 1]
 
@@ -318,6 +322,32 @@ def test_read_records_names_the_line_that_does_not_parse(tmp_path):
     with path.open("a") as fh:
         fh.write("not json\n")
     with pytest.raises(ValueError, match="line 2: bad ensemble record: Expecting value"):
+        read_records(path)
+
+
+def test_read_records_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "ens.jsonl"
+    path.write_bytes(json.dumps(GOOD_RECORD).encode() + b"\n\xff\xfe{}\n")
+    with pytest.raises(ValueError) as info:
+        read_records(path)
+    assert str(info.value) == (
+        "record on line 2: bad ensemble record: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    )
+
+
+def test_lf_crlf_and_cr_files_read_the_same_records(tmp_path):
+    path = tmp_path / "ens.jsonl"
+    second = {**GOOD_RECORD, "sample_index": 1}
+    lines = [json.dumps(GOOD_RECORD), "", "  ", json.dumps(second), ""]
+    records = []
+    for end in ("\n", "\r\n", "\r"):
+        path.write_bytes(end.join(lines).encode())
+        records.append(read_records(path))
+    assert records[0] == records[1] == records[2]
+    assert [r.sample_index for r in records[0]] == [0, 1]
+    path.write_bytes("\r\n".join([*lines[:3], "not json"]).encode())
+    with pytest.raises(ValueError, match="^record on line 4: bad ensemble record: Expecting value"):
         read_records(path)
 
 

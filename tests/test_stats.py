@@ -162,6 +162,28 @@ def test_bulk_spacings_degenerate():
         pooled_bulk_spacings([_ladder([0, 1, 2, 3])], 0.0)
 
 
+@pytest.mark.parametrize(
+    "value, fault",
+    [
+        (None, "bulk_fraction must be a real number, got None"),
+        ("0.5", "bulk_fraction must be a real number, got '0.5'"),
+        (True, "bulk_fraction must be a real number, got True"),
+        (0.5, None),
+        (1, None),
+        (np.float64(0.5), None),
+    ],
+    ids=["none", "str", "bool", "float", "int", "numpy-float"],
+)
+def test_bulk_fraction_must_be_a_real_number(value, fault):
+    spectra = [_ladder([0, 1, 3, 6, 10, 15, 21, 28])]
+    if fault is None:
+        expected = pooled_bulk_spacings(spectra, float(value))
+        assert np.array_equal(pooled_bulk_spacings(spectra, value), expected)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+            pooled_bulk_spacings(spectra, value)
+
+
 def test_spacing_distribution_of_ladders_is_a_spike():
     spectra = [_ladder(np.arange(12) * 2.0) for _ in range(3)]
     hist = spacing_distribution(spectra, bulk_fraction=1.0, bins=100)
