@@ -17,9 +17,10 @@ numpy arrays; numpy is imported only by the functions that use arrays.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -61,6 +62,12 @@ class Gluing:
                 raise ValueError(
                     f"partner[{p}] = {self.partner[p - 1]} but partner[{i}] = {p}"
                 )
+
+    @functools.cached_property
+    def _genus(self) -> int:
+        # walked at most once per instance, and only as long as it lives;
+        # topology.genus returns it and says why the division is exact
+        return (self.n + 1 - len(vertex_cycles(self))) // 2
 
 
 def _exact_int(value, name: str) -> int:
@@ -240,9 +247,9 @@ def _parse_record(line: bytes, line_no: int) -> EnsembleRecord:
 
 
 def write_records(path, records: Iterable[EnsembleRecord]) -> None:
-    """Write records as JSON lines, one record per line, to a path or an
-    open text file."""
-    if isinstance(path, (str, Path)):
+    """Write records as JSON lines, one record per line, to a path (a
+    ``str`` or an ``os.PathLike``) or an open text file."""
+    if isinstance(path, (str, os.PathLike)):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             write_records(fh, records)
         return

@@ -17,10 +17,18 @@ overwrite it: ``dsyevd`` or ``dgesdd`` of the OpenBLAS that numpy's wheel
 bundles, called through ctypes with the workspace numpy's own ``eigvalsh``
 and ``svd`` would query, so an adjacency matrix gets numpy's values to the
 byte.  Where that library is not found, ``np.linalg`` solves the same copy.
+
+A bipartite solve runs on one thread of that OpenBLAS, and the caller's
+thread count comes back when it ends, so a bipartite spectrum, which
+every genus-zero map has, has the same bytes at any BLAS thread count; a
+second thread does not speed ``dgesdd`` up at these sizes.  The dense
+solve keeps the caller's thread count, because ``dsyevd`` does gain from
+a second thread, so its last bits can still differ between thread counts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -55,7 +63,9 @@ def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:
     the matrix solved is copied once, to Fortran-ordered float64, and
     LAPACK overwrites that copy; ``a`` itself is never written.  Entries
     must be finite, of a boolean, integer or real floating dtype.
-    Deterministic for a fixed input on one platform and BLAS thread count.
+    Deterministic for a fixed input on one platform; a bipartite solve
+    runs on one BLAS thread, so its values are the same at any BLAS thread
+    count, while dense values hold only at a fixed thread count.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -81,7 +91,8 @@ def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:
         work = a.astype(np.float64, order="C").T
     try:
         if bipartite:
-            s = _singular_values(work)
+            with _one_blas_thread():
+                s = _singular_values(work)
             values = np.concatenate((-s, s[::-1])) + 0.0  # ascending; -0.0 becomes 0.0
         else:
             values = _symmetric_eigenvalues(work)
@@ -97,13 +108,12 @@ _REF = ctypes.POINTER(_INT)
 _LEN = ctypes.c_size_t  # gfortran's hidden length of each CHARACTER argument
 
 
-@functools.cache
-def _lapack():
-    """``(dsyevd, dgesdd)`` of the OpenBLAS bundled in numpy's wheel, or None.
+def _bundled_symbols(*names: str):
+    """The named functions of the OpenBLAS bundled in numpy's wheel, or None.
 
-    These are the routines numpy's ``eigvalsh`` and ``svd`` call; None when
-    numpy was built against another LAPACK, or the library or the symbols
-    are not found.
+    Each name is tried as numpy >= 2 wheels spell it, with a ``scipy_``
+    prefix, then as numpy 1.x wheels do, without one; None when numpy was
+    built against another BLAS, or the library or the symbols are not found.
     """
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*")
     for path in sorted(glob.glob(libs)):
@@ -111,20 +121,63 @@ def _lapack():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for prefix in ("scipy_", ""):  # numpy >= 2 wheels, then numpy 1.x wheels
-            syevd = getattr(lib, f"{prefix}dsyevd_64_", None)
-            gesdd = getattr(lib, f"{prefix}dgesdd_64_", None)
-            if syevd is None or gesdd is None:
-                continue
-            # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO
-            syevd.argtypes = [ctypes.c_char_p] * 2 + [_REF, _PTR, _REF, _PTR, _PTR, _REF,
-                                                      _PTR, _REF, _REF, _LEN, _LEN]
-            # JOBZ, M, N, A, LDA, S, U, LDU, VT, LDVT, WORK, LWORK, IWORK, INFO
-            gesdd.argtypes = [ctypes.c_char_p, _REF, _REF, _PTR, _REF, _PTR, _PTR, _REF,
-                              _PTR, _REF, _PTR, _REF, _PTR, _REF, _LEN]
-            syevd.restype = gesdd.restype = None
-            return syevd, gesdd
+        for prefix in ("scipy_", ""):
+            found = [getattr(lib, prefix + name, None) for name in names]
+            if None not in found:
+                return found
     return None
+
+
+@functools.cache
+def _lapack():
+    """``(dsyevd, dgesdd)``, the routines numpy's ``eigvalsh`` and ``svd``
+    call, from the bundled OpenBLAS, or None."""
+    found = _bundled_symbols("dsyevd_64_", "dgesdd_64_")
+    if found is None:
+        return None
+    syevd, gesdd = found
+    # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO
+    syevd.argtypes = [ctypes.c_char_p] * 2 + [_REF, _PTR, _REF, _PTR, _PTR, _REF,
+                                              _PTR, _REF, _REF, _LEN, _LEN]
+    # JOBZ, M, N, A, LDA, S, U, LDU, VT, LDVT, WORK, LWORK, IWORK, INFO
+    gesdd.argtypes = [ctypes.c_char_p, _REF, _REF, _PTR, _REF, _PTR, _PTR, _REF,
+                      _PTR, _REF, _PTR, _REF, _PTR, _REF, _LEN]
+    syevd.restype = gesdd.restype = None
+    return syevd, gesdd
+
+
+@functools.cache
+def _blas_threads():
+    """``(get, set)`` of the bundled OpenBLAS's thread count, or None.
+
+    Looked up apart from ``_lapack``, so a solve that falls back to
+    ``np.linalg`` is pinned as well.
+    """
+    found = _bundled_symbols("openblas_get_num_threads64_", "openblas_set_num_threads64_")
+    if found is None:
+        return None
+    get, set_ = found
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's
+    count, also when the block raises; a no-op where the thread calls
+    are not found."""
+    threads = _blas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _ref(value: int):

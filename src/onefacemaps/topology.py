@@ -27,9 +27,10 @@ def genus(g: Gluing) -> int:
 
     n + 1 - V is always even: the vertex permutation i -> partner(i+1) is
     n transpositions after a 2n-cycle, so its sign (-1)^(2n-V) = (-1)^V
-    is (-1)^n (-1)^(2n-1) = (-1)^(n+1).
+    is (-1)^n (-1)^(2n-1) = (-1)^(n+1).  The orbits are walked once per
+    ``Gluing`` instance, which keeps the result.
     """
-    return (g.n + 1 - len(vertex_cycles(g))) // 2
+    return g._genus
 
 
 def is_noncrossing(g: Gluing) -> bool:

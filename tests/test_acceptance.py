@@ -50,6 +50,9 @@ from onefacemaps import (
 from onefacemaps import cli, closed_walk_counts
 from onefacemaps.errors import BudgetExhaustedError
 
+# minutes of work; `pytest -m "not acceptance"` runs only the unit tests
+pytestmark = pytest.mark.acceptance
+
 FULL = bool(os.environ.get("ONEFACEMAPS_FULL_ACCEPTANCE"))
 
 BULK_FRACTION = 0.8

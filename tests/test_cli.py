@@ -256,6 +256,52 @@ def test_closed_stdout_ends_quietly(tmp_path):
     assert code == 0
 
 
+def test_bipartite_spectra_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch):
+    from onefacemaps import spectra
+
+    if spectra._blas_threads() is None:
+        pytest.skip("no bundled OpenBLAS with thread-count calls found beside numpy")
+    ensemble = tmp_path / "nc.jsonl"
+    # unpinned, 3 of these 20 rows differ in their last digit between one
+    # and two threads; at n=200 and n=250 no row did, so they would not show it
+    assert run("generate", "--sampler", "ncpp", "--n", 300, "--samples", 20,
+               "--seed", 5, "--out", ensemble) == 0
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        out = tmp_path / f"spectrum{threads}.csv"
+        with _fresh_interpreter("-m", "onefacemaps.cli", "spectrum", str(ensemble),
+                                "--out", str(out)) as proc:
+            assert proc.wait(timeout=120) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0].count(b"\n") == 20  # one row per map
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, k",
+    [(["enumerate", "--n", "3"], 15),
+     (["generate", "--sampler", "ncpp", "--n", "20", "--samples", "6", "--seed", "1"], 6)],
+    ids=["enumerate", "generate"],
+)
+def test_each_written_record_walks_its_gluing_once(argv, k, monkeypatch, tmp_path):
+    from onefacemaps import mapcore
+
+    walks = []
+    walk = mapcore.vertex_cycles
+
+    def counted(g):
+        walks.append(g)
+        return walk(g)
+
+    monkeypatch.setattr(mapcore, "vertex_cycles", counted)
+    out = tmp_path / "ens.jsonl"
+    assert run(*argv, "--out", out) == 0
+    assert len(walks) == k
+    monkeypatch.undo()
+    assert len(read_records(out)) == k
+
+
 # every subcommand on a small ensemble: (output name, argv after the command)
 _EVERY_COMMAND = [
     ("uni", ["generate", "--n", "10", "--samples", "4", "--seed", "5", "--out", "{d}/uni"]),

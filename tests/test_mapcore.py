@@ -232,6 +232,25 @@ def test_record_json_roundtrip(tmp_path):
     assert back[0].n == 2
 
 
+class _FsPath:
+    """The least ``os.PathLike``: only ``__fspath__``."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __fspath__(self):
+        return self.path
+
+
+def test_write_records_takes_any_path_like(tmp_path, tmpdir):
+    records = [EnsembleRecord(brute.gluing(p), genus=genus(brute.gluing(p)), seed=7, sample_index=i)
+               for i, p in enumerate([[2, 1], [3, 4, 1, 2], [2, 1, 4, 3]])]
+    # a py.path.local has a write method of its own, so it is not an open file either
+    for path in (_FsPath(tmp_path / "fspath.jsonl"), tmpdir / "pypath.jsonl"):
+        write_records(path, records)
+        assert read_records(path) == records
+
+
 @pytest.mark.parametrize(
     "field, value, fault",
     [

@@ -14,6 +14,7 @@ from onefacemaps import (
     sample_uniform_gluing,
 )
 from onefacemaps import spectra
+from onefacemaps.errors import NoConvergenceError
 
 
 def _assert_matches_dense(a):
@@ -180,3 +181,39 @@ def test_lapack_call_overwrites_its_work_copy(solve):
     before = work.copy(order="F")
     getattr(spectra, solve)(work)
     assert not np.array_equal(work, before)
+
+
+def test_bipartite_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    threads = spectra._blas_threads()
+    if threads is None:
+        pytest.skip("no bundled OpenBLAS with thread-count calls found beside numpy")
+    get, set_ = threads
+    original = get()
+    set_(2)  # a caller's count other than 1, so a missed restore shows
+    try:
+        before = get()
+        seen = []
+
+        def counting(solve):
+            def wrapped(work):
+                seen.append(get())
+                return solve(work)
+            return wrapped
+
+        monkeypatch.setattr(spectra, "_singular_values", counting(spectra._singular_values))
+        monkeypatch.setattr(spectra, "_symmetric_eigenvalues", counting(spectra._symmetric_eigenvalues))
+        eigenvalues_symmetric(build_adjacency(sample_ncpp(50, RngStream(36))))
+        assert get() == before
+        eigenvalues_symmetric(build_adjacency(brute.gluing([3, 4, 1, 2])))  # K4: dense
+        assert seen == [1, before]  # the dense solve keeps the caller's count
+        assert get() == before
+
+        def fail(work):
+            raise np.linalg.LinAlgError("dgesdd returned info = 1")
+
+        monkeypatch.setattr(spectra, "_singular_values", fail)
+        with pytest.raises(NoConvergenceError, match="dgesdd returned info = 1"):
+            eigenvalues_symmetric(build_adjacency(sample_ncpp(50, RngStream(36))))
+        assert get() == before
+    finally:
+        set_(original)
