@@ -19,12 +19,21 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     import numpy as np
+
+# The ints 0..2n of the largest gluing built so far above _SHARED_FROM.
+# Every such gluing in the process takes its labels from it, so sampled,
+# enumerated and read-back tables hold the same int objects; it grows only
+# when a larger gluing is built, and a lookup yields an int equal to the
+# label, so no caller can tell.  CPython already shares the ints up to 256.
+_LABELS: tuple[int, ...] = ()
+_SHARED_FROM = 256
 
 
 @dataclass(frozen=True)
@@ -35,6 +44,9 @@ class Gluing:
     the table's length.  Instances are immutable and hashable, and are
     checked when they are built, so every ``Gluing`` that exists is valid:
     a violated invariant raises a ValueError that names the first one.
+    Above 2n = 256 a checked table is rebuilt from one shared table of the
+    label ints, so a label costs about 8 bytes (its slot in the tuple),
+    not a fresh 32-byte int of its own.
     """
 
     partner: tuple[int, ...]
@@ -62,12 +74,22 @@ class Gluing:
                 raise ValueError(
                     f"partner[{p}] = {self.partner[p - 1]} but partner[{i}] = {p}"
                 )
+        if two_n > _SHARED_FROM:
+            # read only now that every label is known to lie in 1..2n
+            global _LABELS
+            if len(_LABELS) <= two_n:
+                _LABELS += tuple(range(len(_LABELS), two_n + 1))
+            object.__setattr__(self, "partner", operator.itemgetter(*self.partner)(_LABELS))
 
     @functools.cached_property
-    def _genus(self) -> int:
-        # walked at most once per instance, and only as long as it lives;
-        # topology.genus returns it and says why the division is exact
-        return (self.n + 1 - len(vertex_cycles(self))) // 2
+    def _degrees(self) -> dict[int, int]:
+        # vertex degree -> count: one orbit walk per instance, kept only as
+        # long as it lives, and a few entries beside the 2n shared labels of
+        # its table; topology.genus and topology.degree_distribution read it
+        counts: dict[int, int] = {}
+        for cycle in vertex_cycles(self):
+            counts[len(cycle)] = counts.get(len(cycle), 0) + 1
+        return counts
 
 
 def _exact_int(value, name: str) -> int:
@@ -115,18 +137,18 @@ def vertex_cycles(g: Gluing) -> list[tuple[int, ...]]:
     that label.
     """
     partner = g.partner
-    two_n = len(partner)
-    seen = bytearray(two_n)
+    # step[i] = partner(i+1 mod 2n), set to 0 once i is on a walked cycle;
+    # the loop reads each entry after the walks before it, so it skips those
+    step = [0, *partner[1:], partner[0]]
     cycles = []
-    for start in range(1, two_n + 1):
-        if seen[start - 1]:
+    for start, i in enumerate(step):
+        if not i:
             continue
-        cycle = []
-        i = start
-        while not seen[i - 1]:
-            seen[i - 1] = 1
+        step[start] = 0
+        cycle = [start]
+        while i != start:
             cycle.append(i)
-            i = partner[i % two_n]
+            step[i], i = 0, step[i]
         cycles.append(tuple(cycle))
     return cycles
 

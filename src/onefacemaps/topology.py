@@ -4,16 +4,16 @@ The glued surface's embedded graph has one vertex per orbit of the
 permutation "step to the next polygon label, then jump across the
 gluing".  With V such orbits, F = 1 face and E = N edges, Euler's formula
 gives genus (N + 1 - V) / 2.  The orbit walker ``vertex_cycles`` lives
-in ``mapcore`` and is re-exported here; ``mapcore``'s record check on
-read calls ``genus``.
+in ``mapcore`` and is re-exported here; ``mapcore``'s ``EnsembleRecord``
+calls ``genus`` to check its stored genus when it is built.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING
 
-from .mapcore import Gluing, _exact_int, _parity_blocks_vanish, build_adjacency, vertex_cycles
+from .mapcore import Gluing, _exact_int, _parity_blocks_vanish, build_adjacency
+from .mapcore import vertex_cycles  # noqa: F401  (re-exported)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -28,9 +28,10 @@ def genus(g: Gluing) -> int:
     n + 1 - V is always even: the vertex permutation i -> partner(i+1) is
     n transpositions after a 2n-cycle, so its sign (-1)^(2n-V) = (-1)^V
     is (-1)^n (-1)^(2n-1) = (-1)^(n+1).  The orbits are walked once per
-    ``Gluing`` instance, which keeps the result.
+    ``Gluing`` instance, which keeps their degree counts for this and for
+    ``degree_distribution``.
     """
-    return g._genus
+    return (g.n + 1 - sum(g._degrees.values())) // 2
 
 
 def is_noncrossing(g: Gluing) -> bool:
@@ -72,10 +73,10 @@ def degree_distribution(g: Gluing) -> dict[int, int]:
     """Map-vertex degrees (cycle lengths) -> number of such vertices.
 
     Degrees weighted by counts sum to 2n; a genus-zero map has n + 1
-    vertices, the vertices of the embedded plane tree.
+    vertices, the vertices of the embedded plane tree.  Each call returns a
+    new dict, in ascending degree.
     """
-    counts = Counter(len(c) for c in vertex_cycles(g))
-    return dict(sorted(counts.items()))
+    return dict(sorted(g._degrees.items()))
 
 
 def closed_walk_counts(g: Gluing, r_max: int) -> list[int]:

@@ -302,6 +302,25 @@ def test_each_written_record_walks_its_gluing_once(argv, k, monkeypatch, tmp_pat
     assert len(read_records(out)) == k
 
 
+def test_degrees_walks_each_record_once(monkeypatch, tmp_path):
+    from onefacemaps import mapcore, topology
+
+    ens = tmp_path / "ens.jsonl"
+    assert run("generate", "--n", 30, "--samples", 5, "--seed", 2, "--out", ens) == 0
+    walks = []
+    walk = mapcore.vertex_cycles
+
+    def counted(g):
+        walks.append(g)
+        return walk(g)
+
+    # topology re-exports the walker, so a walk through either name is counted
+    monkeypatch.setattr(mapcore, "vertex_cycles", counted)
+    monkeypatch.setattr(topology, "vertex_cycles", counted)
+    assert run("degrees", ens, "--out", tmp_path / "degrees.csv") == 0
+    assert len(walks) == 5
+
+
 # every subcommand on a small ensemble: (output name, argv after the command)
 _EVERY_COMMAND = [
     ("uni", ["generate", "--n", "10", "--samples", "4", "--seed", "5", "--out", "{d}/uni"]),

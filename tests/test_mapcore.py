@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -58,9 +59,38 @@ def test_non_involution_rejected():
         brute.gluing([2, 3, 4, 1])
 
 
+def _fresh_labels(g: Gluing) -> list[int]:
+    """The partner table of ``g`` as ints made anew, shared with no other table."""
+    return [int(str(p)) for p in g.partner]
+
+
 def test_out_of_range_label_rejected():
     with pytest.raises(ValueError, match=r"partner of 1 is 5, outside 1\.\.4"):
         brute.gluing([5, 1, 4, 3])
+    # above 2n = 256 the labels are looked up in the shared table, which
+    # must not happen before the range check: -1 would read its last entry
+    big = _fresh_labels(sample_uniform_gluing(300, RngStream(9, 0)))
+    for label in (0, -1):
+        with pytest.raises(ValueError, match=rf"^partner of 1 is {label}, outside 1\.\.4$"):
+            brute.gluing([label, 1, 4, 3])
+        with pytest.raises(ValueError, match=rf"^partner of 1 is {label}, outside 1\.\.600$"):
+            brute.gluing([label, *big[1:]])
+
+
+def test_large_gluings_share_their_label_ints():
+    shared = sample_uniform_gluing(300, RngStream(9, 1))
+    fresh = _fresh_labels(shared)
+    assert any(a is not b for a, b in zip(fresh, shared.partner))
+    g = brute.gluing(fresh)
+    assert g == shared and hash(g) == hash(shared)
+    assert all(a is b for a, b in zip(g.partner, shared.partner))
+    # replace builds through the same check, and the same table
+    swapped = list(fresh)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    with pytest.raises(ValueError, match=r"partner\[\d+\] = \d+ but partner\[1\] = "):
+        dataclasses.replace(shared, partner=tuple(swapped))
+    again = dataclasses.replace(g, partner=tuple(fresh))
+    assert again == shared and all(a is b for a, b in zip(again.partner, shared.partner))
 
 
 def test_empty_partner_rejected():
@@ -278,6 +308,29 @@ def test_every_small_and_drawn_gluing_survives_its_records(tmp_path):
     path = tmp_path / "ens.jsonl"
     write_records(path, records)
     assert read_records(path) == records
+
+
+def test_read_back_gluing_holds_the_sampled_label_objects(tmp_path):
+    g = sample_uniform_gluing(300, RngStream(4, 0))
+    path = tmp_path / "ens.jsonl"
+    write_records(path, [EnsembleRecord(g, genus=genus(g), seed=4, sample_index=0)])
+    (back,) = read_records(path)
+    assert back.gluing == g
+    assert all(x is y for x, y in zip(back.gluing.partner, g.partner))
+
+
+def test_held_large_gluings_cost_a_slot_per_label():
+    sample_uniform_gluing(300, RngStream(4, 1))  # the shared table exists from here on
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = [sample_uniform_gluing(300, RngStream(4, i)) for i in range(100)]
+        per_gluing = (tracemalloc.get_traced_memory()[0] - before) / len(held)
+    finally:
+        tracemalloc.stop()
+    # about 4.9 KB each: 600 tuple slots of 8 bytes; a fresh int per label
+    # above 256 brings it to about 16 KB
+    assert per_gluing < 8000
 
 
 def test_record_parse_error(tmp_path):

@@ -133,6 +133,28 @@ def test_degree_distribution_weighted_sum():
         assert sum(k * c for k, c in dist.items()) == 2 * n
 
 
+def test_genus_and_degrees_share_one_walk(monkeypatch):
+    from onefacemaps import mapcore, topology
+
+    walks = []
+    walk = mapcore.vertex_cycles
+
+    def counted(g):
+        walks.append(g)
+        return walk(g)
+
+    # topology re-exports the walker, so a walk through either name is counted
+    monkeypatch.setattr(mapcore, "vertex_cycles", counted)
+    monkeypatch.setattr(topology, "vertex_cycles", counted)
+    g = brute.gluing([3, 4, 1, 2, 6, 5])
+    assert genus(g) == 1
+    dist = degree_distribution(g)
+    assert dist == {1: 1, 5: 1}
+    dist[1] = 99  # a copy: the next call is not changed
+    assert degree_distribution(g) == {1: 1, 5: 1} and genus(g) == 1
+    assert walks == [g]
+
+
 def test_genus_zero_maps_have_tree_vertex_count():
     gen = RngStream(6).generator()
     for _ in range(10):
