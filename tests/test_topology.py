@@ -149,7 +149,7 @@ def test_genus_and_degrees_share_one_walk(monkeypatch):
     g = brute.gluing([3, 4, 1, 2, 6, 5])
     assert genus(g) == 1
     dist = degree_distribution(g)
-    assert dist == {1: 1, 5: 1}
+    assert list(dist.items()) == [(1, 1), (5, 1)]  # ascending, though the walk meets 5 first
     dist[1] = 99  # a copy: the next call is not changed
     assert degree_distribution(g) == {1: 1, 5: 1} and genus(g) == 1
     assert walks == [g]
