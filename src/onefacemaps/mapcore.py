@@ -44,6 +44,8 @@ class Gluing:
     the table's length.  Instances are immutable and hashable, and are
     checked when they are built, so every ``Gluing`` that exists is valid:
     a violated invariant raises a ValueError that names the first one.
+    A pickled or copied gluing is built again from its table, so it passes
+    the same checks and keeps no cached walk.
     Above 2n = 256 a checked table is rebuilt from one shared table of the
     label ints, so a label costs about 8 bytes (its slot in the tuple),
     not a fresh 32-byte int of its own.
@@ -80,6 +82,9 @@ class Gluing:
             if len(_LABELS) <= two_n:
                 _LABELS += tuple(range(len(_LABELS), two_n + 1))
             object.__setattr__(self, "partner", operator.itemgetter(*self.partner)(_LABELS))
+
+    def __reduce__(self):
+        return (Gluing, (self.partner,))
 
     @functools.cached_property
     def _degrees(self) -> dict[int, int]:
@@ -225,6 +230,10 @@ class EnsembleRecord:
         actual = topology.genus(self.gluing)
         if self.genus != actual:
             raise ValueError(f"genus is {self.genus}, its gluing has genus {actual}")
+
+    def __reduce__(self):
+        # pickles and copies are built again, through the checks above
+        return (EnsembleRecord, (self.gluing, self.genus, self.seed, self.sample_index))
 
     @property
     def n(self) -> int:

@@ -16,7 +16,7 @@ Each solve makes one float64 copy of the matrix it solves and lets LAPACK
 overwrite it: ``dsyevd`` or ``dgesdd`` of the OpenBLAS that numpy's wheel
 bundles, called through ctypes with the workspace numpy's own ``eigvalsh``
 and ``svd`` would query, so an adjacency matrix gets numpy's values to the
-byte.  Where that library is not found, ``np.linalg`` solves the same copy.
+byte.
 
 A bipartite solve runs on one thread of that OpenBLAS, and the caller's
 thread count comes back when it ends, so a bipartite spectrum, which
@@ -24,6 +24,10 @@ every genus-zero map has, has the same bytes at any BLAS thread count; a
 second thread does not speed ``dgesdd`` up at these sizes.  The dense
 solve keeps the caller's thread count, because ``dsyevd`` does gain from
 a second thread, so its last bits can still differ between thread counts.
+
+One lookup finds both routines and the thread calls in that library.
+Where it does not find all four, ``np.linalg`` solves the same copy on the
+caller's threads, so bipartite spectra too hold only at one thread count.
 """
 
 from __future__ import annotations
@@ -64,8 +68,8 @@ def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:
     LAPACK overwrites that copy; ``a`` itself is never written.  Entries
     must be finite, of a boolean, integer or real floating dtype.
     Deterministic for a fixed input on one platform; a bipartite solve
-    runs on one BLAS thread, so its values are the same at any BLAS thread
-    count, while dense values hold only at a fixed thread count.
+    runs on one thread of the bundled OpenBLAS, so its values hold at any
+    thread count, while dense values hold only at a fixed one.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -82,20 +86,15 @@ def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:
         raise ValueError("matrix entries must be finite")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
-    bipartite = _parity_blocks_vanish(a)
-    if bipartite:
-        work = np.array(a[0::2, 1::2], dtype=np.float64, order="F")
-    else:
-        # a equals its transpose, so its row-major copy read as Fortran-ordered
-        # is the same matrix, at a third of the cost of a transposing copy
-        work = a.astype(np.float64, order="C").T
     try:
-        if bipartite:
+        if _parity_blocks_vanish(a):
             with _one_blas_thread():
-                s = _singular_values(work)
+                s = _singular_values(np.array(a[0::2, 1::2], dtype=np.float64, order="F"))
             values = np.concatenate((-s, s[::-1])) + 0.0  # ascending; -0.0 becomes 0.0
         else:
-            values = _symmetric_eigenvalues(work)
+            # a equals its transpose, so its row-major copy read as Fortran-ordered
+            # is the same matrix, at a third of the cost of a transposing copy
+            values = _symmetric_eigenvalues(a.astype(np.float64, order="C").T)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
     values.setflags(write=False)
@@ -108,13 +107,18 @@ _REF = ctypes.POINTER(_INT)
 _LEN = ctypes.c_size_t  # gfortran's hidden length of each CHARACTER argument
 
 
-def _bundled_symbols(*names: str):
-    """The named functions of the OpenBLAS bundled in numpy's wheel, or None.
+@functools.cache
+def _openblas():
+    """``(dsyevd, dgesdd, get_threads, set_threads)``, with their ctypes
+    signatures set, all from one OpenBLAS bundled in numpy's wheel, or None.
 
     Each name is tried as numpy >= 2 wheels spell it, with a ``scipy_``
-    prefix, then as numpy 1.x wheels do, without one; None when numpy was
-    built against another BLAS, or the library or the symbols are not found.
+    prefix, then as numpy 1.x wheels do, without one.  None when numpy was
+    built against another BLAS or no bundled library exports all four; one
+    with the LAPACK routines but not the thread calls, or the reverse, is
+    not used, and no numpy wheel ships such a library.
     """
+    names = ("dsyevd_64_", "dgesdd_64_", "openblas_get_num_threads64_", "openblas_set_num_threads64_")
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*")
     for path in sorted(glob.glob(libs)):
         try:
@@ -123,55 +127,31 @@ def _bundled_symbols(*names: str):
             continue
         for prefix in ("scipy_", ""):
             found = [getattr(lib, prefix + name, None) for name in names]
-            if None not in found:
-                return found
+            if None in found:
+                continue
+            syevd, gesdd, get, set_ = found
+            # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO
+            syevd.argtypes = [ctypes.c_char_p] * 2 + [_REF, _PTR, _REF, _PTR, _PTR, _REF,
+                                                      _PTR, _REF, _REF, _LEN, _LEN]
+            # JOBZ, M, N, A, LDA, S, U, LDU, VT, LDVT, WORK, LWORK, IWORK, INFO
+            gesdd.argtypes = [ctypes.c_char_p, _REF, _REF, _PTR, _REF, _PTR, _PTR, _REF,
+                              _PTR, _REF, _PTR, _REF, _PTR, _REF, _LEN]
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes = [ctypes.c_int]
+            syevd.restype = gesdd.restype = set_.restype = None
+            return syevd, gesdd, get, set_
     return None
-
-
-@functools.cache
-def _lapack():
-    """``(dsyevd, dgesdd)``, the routines numpy's ``eigvalsh`` and ``svd``
-    call, from the bundled OpenBLAS, or None."""
-    found = _bundled_symbols("dsyevd_64_", "dgesdd_64_")
-    if found is None:
-        return None
-    syevd, gesdd = found
-    # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO
-    syevd.argtypes = [ctypes.c_char_p] * 2 + [_REF, _PTR, _REF, _PTR, _PTR, _REF,
-                                              _PTR, _REF, _REF, _LEN, _LEN]
-    # JOBZ, M, N, A, LDA, S, U, LDU, VT, LDVT, WORK, LWORK, IWORK, INFO
-    gesdd.argtypes = [ctypes.c_char_p, _REF, _REF, _PTR, _REF, _PTR, _PTR, _REF,
-                      _PTR, _REF, _PTR, _REF, _PTR, _REF, _LEN]
-    syevd.restype = gesdd.restype = None
-    return syevd, gesdd
-
-
-@functools.cache
-def _blas_threads():
-    """``(get, set)`` of the bundled OpenBLAS's thread count, or None.
-
-    Looked up apart from ``_lapack``, so a solve that falls back to
-    ``np.linalg`` is pinned as well.
-    """
-    found = _bundled_symbols("openblas_get_num_threads64_", "openblas_set_num_threads64_")
-    if found is None:
-        return None
-    get, set_ = found
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block on one OpenBLAS thread, then restore the caller's
-    count, also when the block raises; a no-op where the thread calls
-    are not found."""
-    threads = _blas_threads()
-    if threads is None:
+    """Run the block on one OpenBLAS thread, then restore the caller's count,
+    also when the block raises; a no-op where ``_openblas()`` is None."""
+    lib = _openblas()
+    if lib is None:
         yield
         return
-    get, set_ = threads
+    get, set_ = lib[2:]
     before = get()
     set_(1)
     try:
@@ -192,10 +172,10 @@ def _raise_on(info: _INT, routine: str) -> None:
 def _symmetric_eigenvalues(work: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric Fortran-ordered float64 ``work``,
     by ``dsyevd('N', 'L')``, which overwrites ``work``."""
-    lapack = _lapack()
-    if lapack is None:
+    lib = _openblas()
+    if lib is None:
         return np.linalg.eigvalsh(work)
-    syevd = lapack[0]
+    syevd = lib[0]
     m = _ref(work.shape[0])
     w = np.empty(work.shape[0])
     a_ptr, w_ptr = work.ctypes.data, w.ctypes.data
@@ -216,10 +196,10 @@ def _symmetric_eigenvalues(work: np.ndarray) -> np.ndarray:
 def _singular_values(work: np.ndarray) -> np.ndarray:
     """Descending singular values of the square Fortran-ordered float64
     ``work``, by ``dgesdd('N')``, which overwrites ``work``."""
-    lapack = _lapack()
-    if lapack is None:
+    lib = _openblas()
+    if lib is None:
         return np.linalg.svd(work, compute_uv=False)
-    gesdd = lapack[1]
+    gesdd = lib[1]
     m = _ref(work.shape[0])
     s = np.empty(work.shape[0])
     iwork = np.empty(8 * work.shape[0], dtype=np.int64)

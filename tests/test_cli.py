@@ -259,8 +259,8 @@ def test_closed_stdout_ends_quietly(tmp_path):
 def test_bipartite_spectra_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch):
     from onefacemaps import spectra
 
-    if spectra._blas_threads() is None:
-        pytest.skip("no bundled OpenBLAS with thread-count calls found beside numpy")
+    if spectra._openblas() is None:
+        pytest.skip("no bundled OpenBLAS with dsyevd, dgesdd and thread calls found beside numpy")
     ensemble = tmp_path / "nc.jsonl"
     # unpinned, 3 of these 20 rows differ in their last digit between one
     # and two threads; at n=200 and n=250 no row did, so they would not show it

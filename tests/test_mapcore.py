@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import itertools
 import json
 import math
+import pickle
 import re
 import tracemalloc
 from collections import Counter
@@ -159,6 +161,30 @@ def test_replace_with_invalid_partner_rejected():
         dataclasses.replace(g, partner=(2, 1, 4))
 
 
+_ROUND_TRIPS = pytest.mark.parametrize(
+    "round_trip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+
+
+@_ROUND_TRIPS
+def test_gluing_round_trip_shares_labels_and_drops_the_cached_walk(round_trip):
+    g = sample_uniform_gluing(300, RngStream(9, 2))
+    genus(g)  # fills the cached degree walk
+    assert "_degrees" in vars(g)
+    back = round_trip(g)
+    assert back == g
+    assert all(a is b for a, b in zip(back.partner, g.partner))
+    assert "_degrees" not in vars(back)
+
+
+@_ROUND_TRIPS
+def test_gluing_round_trip_checks_its_table(round_trip):
+    g = brute.gluing([2, 1, 4, 3])
+    object.__setattr__(g, "partner", (2, 1, 3, 4))  # the table of an edited pickle
+    with pytest.raises(ValueError, match="label 3 is glued to itself"):
+        round_trip(g)
+
+
 def _conjugated(perms) -> list[tuple[int, ...]]:
     """1-based partner tuples from the conjugation kernel, for 1-based
     permutations given one per row."""
@@ -296,6 +322,17 @@ def test_record_fields_checked_at_construction(field, value, fault):
     fields = {"gluing": brute.gluing([2, 1]), "genus": 0, "seed": 0, "sample_index": 0}
     with pytest.raises(ValueError, match=re.escape(fault)):
         EnsembleRecord(**{**fields, field: value})
+
+
+@_ROUND_TRIPS
+def test_record_round_trip_checks_its_fields(round_trip):
+    rec = EnsembleRecord(sample_ncpp(300, RngStream(9, 3)), genus=0, seed=9, sample_index=3)
+    back = round_trip(rec)
+    assert back == rec
+    assert all(a is b for a, b in zip(back.gluing.partner, rec.gluing.partner))
+    object.__setattr__(rec, "genus", 5)  # the genus of an edited pickle
+    with pytest.raises(ValueError, match="genus is 5, its gluing has genus 0"):
+        round_trip(rec)
 
 
 def test_every_small_and_drawn_gluing_survives_its_records(tmp_path):

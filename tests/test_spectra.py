@@ -1,3 +1,4 @@
+import ctypes
 import tracemalloc
 
 import numpy as np
@@ -123,12 +124,35 @@ def _solve_inputs():
 
 
 def test_lapack_call_matches_numpy_fallback_bytes(monkeypatch):
-    if spectra._lapack() is None:
-        pytest.skip("no bundled OpenBLAS with dsyevd and dgesdd found beside numpy")
-    direct = [eigenvalues_symmetric(a).values.tobytes() for a in _solve_inputs()]
-    monkeypatch.setattr(spectra, "_lapack", lambda: None)
-    fallback = [eigenvalues_symmetric(a).values.tobytes() for a in _solve_inputs()]
+    lib = spectra._openblas()
+    if lib is None:
+        pytest.skip("no bundled OpenBLAS with dsyevd, dgesdd and thread calls found beside numpy")
+    get, set_ = lib[2:]
+    original = get()
+    set_(1)  # the fallback runs on the caller's threads, so both sides run on one
+    try:
+        direct = [eigenvalues_symmetric(a).values.tobytes() for a in _solve_inputs()]
+        monkeypatch.setattr(spectra, "_openblas", lambda: None)
+        fallback = [eigenvalues_symmetric(a).values.tobytes() for a in _solve_inputs()]
+    finally:
+        set_(original)
     assert direct == fallback
+
+
+def test_one_lookup_opens_each_bundled_library_once(monkeypatch):
+    opened = []
+    real_cdll = ctypes.CDLL
+
+    def counting_cdll(path, *args, **kwargs):
+        opened.append(path)
+        return real_cdll(path, *args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", counting_cdll)
+    spectra._openblas.cache_clear()
+    eigenvalues_symmetric(build_adjacency(brute.gluing([3, 4, 1, 2])))  # K4: dense
+    eigenvalues_symmetric(build_adjacency(sample_ncpp(50, RngStream(37))))  # bipartite
+    assert len(opened) == len(set(opened))
+    assert opened or spectra._openblas() is None
 
 
 @pytest.mark.parametrize("sampler", [sample_uniform_gluing, sample_ncpp])
@@ -175,8 +199,8 @@ def test_peak_memory_of_one_solve(sampler, n, bound):
 @pytest.mark.parametrize("solve", ["_symmetric_eigenvalues", "_singular_values"])
 def test_lapack_call_overwrites_its_work_copy(solve):
     # LAPACK must write into the copy it is handed, not into one of its own
-    if spectra._lapack() is None:
-        pytest.skip("no bundled OpenBLAS with dsyevd and dgesdd found beside numpy")
+    if spectra._openblas() is None:
+        pytest.skip("no bundled OpenBLAS with dsyevd, dgesdd and thread calls found beside numpy")
     work = np.asfortranarray(build_adjacency(sample_uniform_gluing(50, RngStream(35))), dtype=np.float64)
     before = work.copy(order="F")
     getattr(spectra, solve)(work)
@@ -184,10 +208,10 @@ def test_lapack_call_overwrites_its_work_copy(solve):
 
 
 def test_bipartite_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
-    threads = spectra._blas_threads()
-    if threads is None:
-        pytest.skip("no bundled OpenBLAS with thread-count calls found beside numpy")
-    get, set_ = threads
+    lib = spectra._openblas()
+    if lib is None:
+        pytest.skip("no bundled OpenBLAS with dsyevd, dgesdd and thread calls found beside numpy")
+    get, set_ = lib[2:]
     original = get()
     set_(2)  # a caller's count other than 1, so a missed restore shows
     try:
