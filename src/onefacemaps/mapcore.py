@@ -27,13 +27,11 @@ from typing import TYPE_CHECKING, Iterable
 if TYPE_CHECKING:
     import numpy as np
 
-# The ints 0..2n of the largest gluing built so far above _SHARED_FROM.
-# Every such gluing in the process takes its labels from it, so sampled,
-# enumerated and read-back tables hold the same int objects; it grows only
-# when a larger gluing is built, and a lookup yields an int equal to the
-# label, so no caller can tell.  CPython already shares the ints up to 256.
+# The ints 0..2n of the largest gluing built so far.  Every gluing in the
+# process takes its labels from it, so sampled, enumerated and read-back
+# tables hold the same int objects; it grows only when a larger gluing is
+# built, and a lookup yields an int equal to the label, so no caller can tell.
 _LABELS: tuple[int, ...] = ()
-_SHARED_FROM = 256
 
 
 @dataclass(frozen=True)
@@ -46,9 +44,8 @@ class Gluing:
     a violated invariant raises a ValueError that names the first one.
     A pickled or copied gluing is built again from its table, so it passes
     the same checks and keeps no cached walk.
-    Above 2n = 256 a checked table is rebuilt from one shared table of the
-    label ints, so a label costs about 8 bytes (its slot in the tuple),
-    not a fresh 32-byte int of its own.
+    A checked table is rebuilt from one shared table of label ints, so a
+    label costs its 8-byte slot in the tuple, not a 32-byte int of its own.
     """
 
     partner: tuple[int, ...]
@@ -76,12 +73,11 @@ class Gluing:
                 raise ValueError(
                     f"partner[{p}] = {self.partner[p - 1]} but partner[{i}] = {p}"
                 )
-        if two_n > _SHARED_FROM:
-            # read only now that every label is known to lie in 1..2n
-            global _LABELS
-            if len(_LABELS) <= two_n:
-                _LABELS += tuple(range(len(_LABELS), two_n + 1))
-            object.__setattr__(self, "partner", operator.itemgetter(*self.partner)(_LABELS))
+        # read only now that every label is known to lie in 1..2n
+        global _LABELS
+        if len(_LABELS) <= two_n:
+            _LABELS += tuple(range(len(_LABELS), two_n + 1))
+        object.__setattr__(self, "partner", operator.itemgetter(*self.partner)(_LABELS))
 
     def __reduce__(self):
         return (Gluing, (self.partner,))
@@ -133,6 +129,17 @@ def _parity_blocks_vanish(a: np.ndarray) -> bool:
     ``B = a[0::2, 1::2]``.
     """
     return not (a[0::2, 0::2].any() or a[1::2, 1::2].any())
+
+
+def _map_matrix(a) -> np.ndarray:
+    """``np.asarray(a)`` if it has the shape of a map matrix, square of even
+    size 2n >= 2, else a ValueError; the one shape rule of the package."""
+    import numpy as np
+
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0 or a.shape[0] == 0:
+        raise ValueError(f"map matrices are square of even size 2n >= 2, got shape {a.shape}")
+    return a
 
 
 def vertex_cycles(g: Gluing) -> list[tuple[int, ...]]:

@@ -72,8 +72,8 @@ def sample_uniform_gluing(n: int, rng) -> Gluing:
 
 
 def _noncrossing_partner(up: np.ndarray) -> np.ndarray:
-    """Non-crossing partner table (1-based) from an arrangement of n
-    up-steps (True) and n+1 down-steps (False).
+    """Non-crossing partner row (0-based, as ``_conjugate``'s rows) from an
+    arrangement of n up-steps (True) and n+1 down-steps (False).
 
     The rotation starting just after the first minimum of the prefix sums
     is the one the cycle lemma singles out; without its final down-step it
@@ -88,10 +88,10 @@ def _noncrossing_partner(up: np.ndarray) -> np.ndarray:
     heights = np.cumsum(path)
     order = np.argsort(np.where(path > 0, heights - 1, heights), kind="stable")
     opens, closes = order[0::2], order[1::2]
-    partner = np.empty(path.size, dtype=np.int64)
-    partner[opens] = closes + 1
-    partner[closes] = opens + 1
-    return partner
+    mates = np.empty(path.size, dtype=np.int64)
+    mates[opens] = closes
+    mates[closes] = opens
+    return mates
 
 
 def sample_ncpp(n: int, rng) -> Gluing:
@@ -100,7 +100,7 @@ def sample_ncpp(n: int, rng) -> Gluing:
         raise ValueError("need n >= 1")
     gen = _as_generator(rng)
     up = gen.permutation(2 * n + 1) < n  # n up-steps at uniform positions
-    return Gluing(partner=tuple(_noncrossing_partner(up).tolist()))
+    return _gluing(_noncrossing_partner(up))
 
 
 @dataclass(frozen=True)

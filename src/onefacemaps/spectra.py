@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergenceError
-from .mapcore import _parity_blocks_vanish
+from .mapcore import _map_matrix, _parity_blocks_vanish
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,27 +57,23 @@ class Spectrum:
 
 
 def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:
-    """All eigenvalues of a symmetric matrix of even size 2n >= 2, ascending.
+    """All eigenvalues of a symmetric map matrix, ascending.
 
+    ``a`` must have the shape of every map matrix, square of even size
+    2n >= 2, the rule ``is_bipartite`` shares, and finite entries of a
+    boolean, integer or real floating dtype.
     If both parity blocks ``a[0::2, 0::2]`` and ``a[1::2, 1::2]`` are zero,
     the values are ``-s`` and ``s`` for the singular values ``s`` of
     ``a[0::2, 1::2]`` (LAPACK ``dgesdd``), symmetric about zero by
     construction and with no ``-0.0``; otherwise they come from a dense
-    symmetric eigensolve (LAPACK ``dsyevd``).  Either way
-    the matrix solved is copied once, to Fortran-ordered float64, and
-    LAPACK overwrites that copy; ``a`` itself is never written.  Entries
-    must be finite, of a boolean, integer or real floating dtype.
-    Deterministic for a fixed input on one platform; a bipartite solve
-    runs on one thread of the bundled OpenBLAS, so its values hold at any
-    thread count, while dense values hold only at a fixed one.
+    symmetric eigensolve (LAPACK ``dsyevd``).  Either way the matrix
+    solved is copied once, to Fortran-ordered float64, and LAPACK
+    overwrites that copy; ``a`` itself is never written.  Deterministic
+    for a fixed input on one platform; a bipartite solve runs on one
+    thread of the bundled OpenBLAS, so its values hold at any thread
+    count, while dense values hold only at a fixed one.
     """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise ValueError("map adjacency matrices have 2n >= 2 rows, got an empty matrix")
-    if a.shape[0] % 2 != 0:
-        raise ValueError("map adjacency matrices have even size 2n")
+    a = _map_matrix(a)
     # a complex or object matrix would be cast to float64, losing its values
     if a.dtype.kind not in "biuf":
         raise ValueError(f"matrix entries must be real numbers, got dtype {a.dtype}")

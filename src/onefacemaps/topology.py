@@ -3,17 +3,16 @@
 The glued surface's embedded graph has one vertex per orbit of the
 permutation "step to the next polygon label, then jump across the
 gluing".  With V such orbits, F = 1 face and E = N edges, Euler's formula
-gives genus (N + 1 - V) / 2.  The orbit walker ``vertex_cycles`` lives
-in ``mapcore`` and is re-exported here; ``mapcore``'s ``EnsembleRecord``
-calls ``genus`` to check its stored genus when it is built.
+gives genus (N + 1 - V) / 2.  ``mapcore``'s ``vertex_cycles`` walks the
+orbits, and its ``EnsembleRecord`` calls ``genus`` to check its stored
+genus when it is built.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .mapcore import Gluing, _exact_int, _parity_blocks_vanish, build_adjacency
-from .mapcore import vertex_cycles  # noqa: F401  (re-exported)
+from .mapcore import Gluing, _exact_int, _map_matrix, _parity_blocks_vanish, build_adjacency
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,19 +47,16 @@ def is_noncrossing(g: Gluing) -> bool:
 def is_bipartite(a: np.ndarray) -> bool:
     """True iff the graph of a map adjacency matrix admits a 2-coloring.
 
-    ``a`` must be square of even size 2n >= 2 and contain the spanning cycle
-    0-1-...-(2n-1)-0 of every map graph; otherwise ValueError.  That even
-    cycle forces the coloring by label parity, so the graph is bipartite
-    exactly when no entry joins two labels of the same parity: one
-    vectorised O(n^2) scan.
+    ``a`` must have the shape of every map matrix, square of even size
+    2n >= 2, which ``eigenvalues_symmetric`` asks too, and contain the
+    spanning cycle 0-1-...-(2n-1)-0 of every map graph; otherwise
+    ValueError.  That even cycle forces the coloring by label parity, so
+    the graph is bipartite exactly when no entry joins two labels of the
+    same parity: one vectorised O(n^2) scan.
     """
     import numpy as np
 
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0:
-        raise ValueError(f"expected a square matrix of even size, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise ValueError("map adjacency matrices have 2n >= 2 rows, got an empty matrix")
+    a = _map_matrix(a)
     two_n = a.shape[0]
     idx = np.arange(two_n)
     succ = (idx + 1) % two_n

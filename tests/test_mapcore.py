@@ -32,6 +32,7 @@ from onefacemaps import (
     vertex_cycles,
     write_records,
 )
+from onefacemaps import mapcore
 from onefacemaps.mapcore import _conjugate, _orbit_counts
 
 
@@ -69,7 +70,7 @@ def _fresh_labels(g: Gluing) -> list[int]:
 def test_out_of_range_label_rejected():
     with pytest.raises(ValueError, match=r"partner of 1 is 5, outside 1\.\.4"):
         brute.gluing([5, 1, 4, 3])
-    # above 2n = 256 the labels are looked up in the shared table, which
+    # at every size the labels are looked up in the shared table, which
     # must not happen before the range check: -1 would read its last entry
     big = _fresh_labels(sample_uniform_gluing(300, RngStream(9, 0)))
     for label in (0, -1):
@@ -80,19 +81,20 @@ def test_out_of_range_label_rejected():
 
 
 def test_large_gluings_share_their_label_ints():
-    shared = sample_uniform_gluing(300, RngStream(9, 1))
-    fresh = _fresh_labels(shared)
-    assert any(a is not b for a, b in zip(fresh, shared.partner))
-    g = brute.gluing(fresh)
-    assert g == shared and hash(g) == hash(shared)
-    assert all(a is b for a, b in zip(g.partner, shared.partner))
-    # replace builds through the same check, and the same table
-    swapped = list(fresh)
-    swapped[0], swapped[1] = swapped[1], swapped[0]
-    with pytest.raises(ValueError, match=r"partner\[\d+\] = \d+ but partner\[1\] = "):
-        dataclasses.replace(shared, partner=tuple(swapped))
-    again = dataclasses.replace(g, partner=tuple(fresh))
-    assert again == shared and all(a is b for a, b in zip(again.partner, shared.partner))
+    for n in (1, 50, 300):
+        shared = sample_uniform_gluing(n, RngStream(9, 1))
+        fresh = _fresh_labels(shared)
+        if 2 * n > 256:  # CPython shares the ints up to 256 on its own
+            assert any(a is not b for a, b in zip(fresh, shared.partner))
+        g = brute.gluing(fresh)
+        assert g == shared and hash(g) == hash(shared)
+        assert all(a is b for a, b in zip(g.partner, shared.partner))
+        # replace builds through the same check, and the same table: every
+        # label glued to partner(1), which is not glued back to 1
+        with pytest.raises(ValueError, match=r"partner\[\d+\] = \d+ but partner\[1\] = "):
+            dataclasses.replace(shared, partner=tuple(fresh[:1] * len(fresh)))
+        again = dataclasses.replace(g, partner=tuple(fresh))
+        assert again == shared and all(a is b for a, b in zip(again.partner, shared.partner))
 
 
 def test_empty_partner_rejected():
@@ -366,8 +368,27 @@ def test_held_large_gluings_cost_a_slot_per_label():
     finally:
         tracemalloc.stop()
     # about 4.9 KB each: 600 tuple slots of 8 bytes; a fresh int per label
-    # above 256 brings it to about 16 KB
+    # brings it to about 16 KB
     assert per_gluing < 8000
+
+
+def test_label_table_holds_only_the_largest_gluing_built(monkeypatch, tmp_path):
+    monkeypatch.setattr(mapcore, "_LABELS", ())  # as in a process that built no gluing yet
+    largest = 0
+    for n in (1, 7, 300, 50):
+        gluings = [sample_uniform_gluing(n, RngStream(5, 0)), sample_ncpp(n, RngStream(5, 1))]
+        if n <= 7:
+            gluings += enumerate_ncpp(n)
+        path = tmp_path / f"ens{n}.jsonl"
+        write_records(path, [EnsembleRecord(g, genus=genus(g), seed=5, sample_index=i)
+                             for i, g in enumerate(gluings)])
+        gluings += [rec.gluing for rec in read_records(path)]
+        gluings += [dataclasses.replace(g, partner=tuple(_fresh_labels(g))) for g in gluings[:2]]
+        gluings += [pickle.loads(pickle.dumps(g)) for g in gluings[:2]]
+        largest = max(largest, 2 * n)
+        # grown to the largest 2n built, and never past it
+        assert mapcore._LABELS == tuple(range(largest + 1))
+        assert all(p is mapcore._LABELS[p] for g in gluings for p in g.partner)
 
 
 def test_record_parse_error(tmp_path):

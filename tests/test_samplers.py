@@ -91,9 +91,10 @@ def test_cycle_lemma_map_hits_each_pairing_2n_plus_1_times(n):
     for ups in itertools.combinations(range(2 * n + 1), n):
         up = np.zeros(2 * n + 1, dtype=bool)
         up[list(ups)] = True
-        counts[tuple(_noncrossing_partner(up).tolist())] += 1
+        counts[tuple(_noncrossing_partner(up).tolist())] += 1  # 0-based rows
     assert sum(counts.values()) == math.comb(2 * n + 1, n)
-    noncrossing = {p for p in brute.all_matchings(n) if brute.crossing_free(p)}
+    noncrossing = {tuple(p - 1 for p in partner) for partner in brute.all_matchings(n)
+                   if brute.crossing_free(partner)}
     assert len(noncrossing) == brute.catalan(n)
     assert set(counts) == noncrossing
     assert set(counts.values()) == {2 * n + 1}

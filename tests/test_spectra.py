@@ -1,4 +1,5 @@
 import ctypes
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,11 +12,15 @@ from onefacemaps import (
     closed_walk_counts,
     eigenvalues_symmetric,
     genus,
+    is_bipartite,
     sample_ncpp,
     sample_uniform_gluing,
 )
 from onefacemaps import spectra
 from onefacemaps.errors import NoConvergenceError
+
+# the one shape fault of a map matrix, up to its shape
+SHAPE_FAULT = r"^map matrices are square of even size 2n >= 2, got shape "
 
 
 def _assert_matches_dense(a):
@@ -93,9 +98,9 @@ def test_determinism_bitwise():
 def test_rejects_nonsymmetric_and_odd_inputs():
     with pytest.raises(ValueError, match="matrix must be symmetric"):
         eigenvalues_symmetric(np.array([[0, 1], [2, 0]]))
-    with pytest.raises(ValueError, match="map adjacency matrices have even size 2n"):
+    with pytest.raises(ValueError, match=SHAPE_FAULT + r"\(3, 3\)$"):
         eigenvalues_symmetric(np.zeros((3, 3), dtype=np.int64))
-    with pytest.raises(ValueError, match="expected a square matrix"):
+    with pytest.raises(ValueError, match=SHAPE_FAULT + r"\(2, 4\)$"):
         eigenvalues_symmetric(np.zeros((2, 4), dtype=np.int64))
 
 
@@ -110,8 +115,22 @@ def test_rejects_entries_that_are_not_real_numbers(a, dtype):
 
 
 def test_rejects_the_empty_matrix():
-    with pytest.raises(ValueError, match="got an empty matrix"):
+    with pytest.raises(ValueError, match=SHAPE_FAULT + r"\(0, 0\)$"):
         eigenvalues_symmetric(np.zeros((0, 0), dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [np.zeros((3, 3), dtype=np.int64), np.zeros((2, 4), dtype=np.int64),
+     np.zeros((0, 0), dtype=np.int64), np.zeros(4, dtype=np.int64),
+     np.zeros((2, 2, 2), dtype=np.int64), [[0, 1, 1], [1, 0, 1]]],
+    ids=["3x3", "2x4", "0x0", "4", "2x2x2", "nested-2x3"],
+)
+def test_solve_and_bipartite_test_share_one_shape_rule(a):
+    fault = SHAPE_FAULT + re.escape(str(np.shape(a))) + "$"
+    for check in (eigenvalues_symmetric, is_bipartite):
+        with pytest.raises(ValueError, match=fault):
+            check(a)
 
 
 def _solve_inputs():

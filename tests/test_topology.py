@@ -17,6 +17,9 @@ from onefacemaps import (
     vertex_cycles,
 )
 
+# the one shape fault of a map matrix, up to its shape
+SHAPE_FAULT = r"^map matrices are square of even size 2n >= 2, got shape "
+
 TORUS = brute.gluing([3, 4, 1, 2])  # opposite-edge square gluing
 PATH2 = brute.gluing([2, 1, 4, 3])  # two nested arcs, a path of length 2
 TWOGON = brute.gluing([2, 1])
@@ -104,12 +107,12 @@ def test_is_bipartite_agrees_with_bfs_oracle_on_large_maps():
 def test_is_bipartite_rejects_matrices_without_the_spanning_cycle():
     with pytest.raises(ValueError, match="lacks the spanning cycle of a map graph"):
         is_bipartite(np.zeros((4, 4), dtype=np.int64))
-    with pytest.raises(ValueError, match="expected a square matrix of even size"):
+    with pytest.raises(ValueError, match=SHAPE_FAULT + r"\(3, 3\)$"):
         is_bipartite(np.zeros((3, 3), dtype=np.int64))
 
 
 def test_is_bipartite_rejects_the_empty_matrix():
-    with pytest.raises(ValueError, match="got an empty matrix"):
+    with pytest.raises(ValueError, match=SHAPE_FAULT + r"\(0, 0\)$"):
         is_bipartite(np.zeros((0, 0), dtype=np.int64))
 
 
@@ -134,7 +137,7 @@ def test_degree_distribution_weighted_sum():
 
 
 def test_genus_and_degrees_share_one_walk(monkeypatch):
-    from onefacemaps import mapcore, topology
+    from onefacemaps import mapcore
 
     walks = []
     walk = mapcore.vertex_cycles
@@ -143,9 +146,7 @@ def test_genus_and_degrees_share_one_walk(monkeypatch):
         walks.append(g)
         return walk(g)
 
-    # topology re-exports the walker, so a walk through either name is counted
     monkeypatch.setattr(mapcore, "vertex_cycles", counted)
-    monkeypatch.setattr(topology, "vertex_cycles", counted)
     g = brute.gluing([3, 4, 1, 2, 6, 5])
     assert genus(g) == 1
     dist = degree_distribution(g)
