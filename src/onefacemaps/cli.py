@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import counting, topology
 from .errors import BudgetExhaustedError, NoConvergenceError
-from .mapcore import EnsembleRecord, Gluing, build_adjacency, read_records, write_records
+from .mapcore import _SEED_MAX, EnsembleRecord, Gluing, _exact_int, build_adjacency
+from .mapcore import read_records, write_records
 
 if TYPE_CHECKING:
     from .spectra import Spectrum
@@ -80,14 +81,10 @@ def _write_table(path: str | None, columns: tuple[str, ...], rows: Iterable[tupl
 def cmd_generate(args) -> int:
     from . import samplers
 
-    if args.samples < 1:
-        raise ValueError("need --samples >= 1")
-    if args.n < 1:
-        raise ValueError("need --n >= 1")
-    if args.budget < 1:
-        raise ValueError("need --budget >= 1")
-    if not 0 <= args.seed < 2**64:
-        raise ValueError("need 0 <= --seed < 2**64")
+    _exact_int(args.samples, "--samples", 1)
+    _exact_int(args.n, "--n", 1)
+    _exact_int(args.budget, "--budget", 1)
+    _exact_int(args.seed, "--seed", 0, _SEED_MAX)
     if args.sampler == "genus-filtered":
         if args.genus is None:
             raise ValueError("--genus is required with --sampler genus-filtered")

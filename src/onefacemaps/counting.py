@@ -47,10 +47,8 @@ def _harer_zagier_row(n: int, g_max: int) -> list[int]:
 
 def harer_zagier(g: int, n: int) -> int:
     """Number of genus-g one-face maps with n edges, exactly."""
-    if _exact_int(n, "n") < 1:
-        raise ValueError("need n >= 1")
-    if not 0 <= 2 * _exact_int(g, "g") <= n:
-        raise ValueError(f"need 0 <= 2g <= n, got g={g}, n={n}")
+    _exact_int(n, "n", 1)
+    _exact_int(g, "g", 0, n // 2)
     return _harer_zagier_row(n, g)[g]
 
 
@@ -59,8 +57,7 @@ def genus_distribution(n: int) -> list[int]:
 
     The entries sum to (2n-1)!!, the total number of gluings.
     """
-    if _exact_int(n, "n") < 1:
-        raise ValueError("need n >= 1")
+    _exact_int(n, "n", 1)
     return _harer_zagier_row(n, n // 2)
 
 
@@ -69,8 +66,7 @@ def enumerate_all_gluings(n: int) -> Iterator[Gluing]:
 
     ``n`` is checked when the function is called, before the first item.
     """
-    if _exact_int(n, "n") < 1:
-        raise ValueError("need n >= 1")
+    _exact_int(n, "n", 1)
     if n > ENUMERATE_ALL_MAX:
         raise ValueError(f"exhaustive enumeration capped at n = {ENUMERATE_ALL_MAX}")
     partner = [0] * (2 * n)
@@ -97,8 +93,7 @@ def enumerate_ncpp(n: int) -> Iterator[Gluing]:
 
     ``n`` is checked when the function is called, before the first item.
     """
-    if _exact_int(n, "n") < 1:
-        raise ValueError("need n >= 1")
+    _exact_int(n, "n", 1)
     if n > ENUMERATE_NCPP_MAX:
         raise ValueError(f"non-crossing enumeration capped at n = {ENUMERATE_NCPP_MAX}")
     partner = [0] * (2 * n)

@@ -27,6 +27,8 @@ from typing import TYPE_CHECKING, Iterable
 if TYPE_CHECKING:
     import numpy as np
 
+_SEED_MAX = 2**64 - 1  # the largest seed of an RngStream or of a record's provenance
+
 # The ints 0..2n of the largest gluing built so far.  Every gluing in the
 # process takes its labels from it, so sampled, enumerated and read-back
 # tables hold the same int objects; it grows only when a larger gluing is
@@ -93,15 +95,19 @@ class Gluing:
         return counts
 
 
-def _exact_int(value, name: str) -> int:
-    """``value`` if it is exactly an int, else a ValueError naming ``name``.
-
-    The rule for every integer the package is handed: a bool, float, str
-    or numpy integer is refused, so none is truncated, misread as 0 or 1,
-    or written into a record that ``read_records`` would refuse.
-    """
+def _exact_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` if it is exactly an int in ``low..high``, else a ValueError
+    naming ``name``; ``high``, or both bounds, may be left out.  The one
+    integer rule of the package: a bool, float, str or numpy integer is
+    refused, so none is truncated, misread as 0 or 1, or written into a
+    record that ``read_records`` would refuse, and a range message prints
+    ``need {name} >= {low}`` or ``need {low} <= {name} <= {high}`` in full."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"need {low} <= {name} <= {high}, got {value}")
+    if low is not None and value < low:
+        raise ValueError(f"need {name} >= {low}, got {value}")
     return value
 
 
@@ -218,7 +224,8 @@ class EnsembleRecord:
     every map from the one stream ``RngStream(seed, 0)``: there
     ``sample_index`` is the map's rank among the kept maps, and the map
     comes back only by drawing the ensemble again from ``seed``, with the
-    same ``n`` and genus.  ``genus`` must be the gluing's own genus.
+    same ``n`` and genus.  ``genus`` must be the gluing's own genus, and
+    ``seed`` and ``sample_index`` lie in the ranges ``RngStream`` asks of them.
     """
 
     gluing: Gluing
@@ -230,8 +237,9 @@ class EnsembleRecord:
         # checked here, so every record that exists can be written and read back
         if not isinstance(self.gluing, Gluing):
             raise ValueError(f"gluing must be a Gluing, got {type(self.gluing).__name__}")
-        for name in ("genus", "seed", "sample_index"):
-            _exact_int(getattr(self, name), name)
+        _exact_int(self.genus, "genus")
+        _exact_int(self.seed, "seed", 0, _SEED_MAX)
+        _exact_int(self.sample_index, "sample_index", 0)
         from . import topology  # imports this module, so it cannot be imported at its top
 
         actual = topology.genus(self.gluing)

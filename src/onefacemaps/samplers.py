@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExhaustedError
-from .mapcore import Gluing, _conjugate, _exact_int, _orbit_counts
+from .mapcore import _SEED_MAX, Gluing, _conjugate, _exact_int, _orbit_counts
 
 # labels (draws x 2n) whose orbits one batch of genus filtering counts at once
 _FILTER_BATCH_LABELS = 1 << 16
@@ -40,10 +40,8 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not 0 <= _exact_int(self.master_seed, "master_seed") < 2**64:
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if _exact_int(self.stream_index, "stream_index") < 0:
-            raise ValueError("stream_index must be non-negative")
+        _exact_int(self.master_seed, "master_seed", 0, _SEED_MAX)
+        _exact_int(self.stream_index, "stream_index", 0)
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=(self.master_seed, self.stream_index))
@@ -65,8 +63,7 @@ def _gluing(mates: np.ndarray) -> Gluing:
 
 def sample_uniform_gluing(n: int, rng) -> Gluing:
     """One gluing uniform over all (2n-1)!! perfect matchings."""
-    if _exact_int(n, "n") < 1:
-        raise ValueError("need n >= 1")
+    _exact_int(n, "n", 1)
     gen = _as_generator(rng)
     return _gluing(_conjugate(gen.permutation(2 * n)[None])[0])
 
@@ -96,8 +93,7 @@ def _noncrossing_partner(up: np.ndarray) -> np.ndarray:
 
 def sample_ncpp(n: int, rng) -> Gluing:
     """One non-crossing gluing, exactly uniform over the C_n possibilities."""
-    if _exact_int(n, "n") < 1:
-        raise ValueError("need n >= 1")
+    _exact_int(n, "n", 1)
     gen = _as_generator(rng)
     up = gen.permutation(2 * n + 1) < n  # n up-steps at uniform positions
     return _gluing(_noncrossing_partner(up))
@@ -132,14 +128,10 @@ def sample_genus_filtered(
     never holds more draws than the maps still wanted or the budget left,
     so no draw past the one that meets the request is made.
     """
-    if _exact_int(n, "n") < 1:
-        raise ValueError("need n >= 1")
-    if not 0 <= _exact_int(target_genus, "target_genus") <= n // 2:
-        raise ValueError(f"target genus must lie in 0..{n // 2}, got {target_genus}")
-    if _exact_int(max_attempts, "max_attempts") < 1:
-        raise ValueError("need max_attempts >= 1")
-    if _exact_int(num_samples, "num_samples") < 1:
-        raise ValueError("need num_samples >= 1")
+    _exact_int(n, "n", 1)
+    _exact_int(target_genus, "target_genus", 0, n // 2)
+    _exact_int(max_attempts, "max_attempts", 1)
+    _exact_int(num_samples, "num_samples", 1)
     gen = _as_generator(rng)
     two_n = 2 * n
     vertices = n + 1 - 2 * target_genus  # Euler's formula for one face

@@ -51,9 +51,20 @@ class Spectrum:
 
     Always 2n values in [-3, 3]; the top value is 3 up to round-off
     because the spanning cycle keeps the graph connected and three-regular.
+    Checked when built: a 1-D float64 array, finite and ascending, or ValueError.
     """
 
     values: np.ndarray
+
+    def __post_init__(self):
+        v = self.values
+        if not isinstance(v, np.ndarray) or v.dtype != np.float64 or v.ndim != 1:
+            got = f"{getattr(v, 'dtype', type(v).__name__)} of shape {np.shape(v)}"
+            raise ValueError(f"spectrum values must be a 1-D float64 array, got {got}")
+        if not np.isfinite(v).all():
+            raise ValueError("spectrum values must be finite")
+        if (v[1:] < v[:-1]).any():
+            raise ValueError("spectrum values must be ascending")
 
 
 def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:

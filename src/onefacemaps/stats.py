@@ -74,15 +74,9 @@ def exponential_cdf(s):
     return np.where(s >= 0.0, -np.expm1(-np.clip(s, 0.0, None)), 0.0)
 
 
-def _check_bins(bins: int) -> None:
-    if _exact_int(bins, "bins") < 1:
-        raise ValueError(f"need bins >= 1, got {bins}")
-
-
 def _ensemble_values(spectra: Iterable[Spectrum]) -> list[np.ndarray]:
-    """Each spectrum's values as float64; draws every spectrum, so a
-    statistic checks its parameters first."""
-    values = [np.asarray(s.values, dtype=np.float64) for s in spectra]
+    """Each spectrum's values; draws them all, so a statistic checks its parameters first."""
+    values = [s.values for s in spectra]
     if not values:
         raise ValueError("empty ensemble")
     return values
@@ -101,7 +95,7 @@ def _pooled_histogram(
 
 def empirical_density(spectra: Iterable[Spectrum], bins: int = DEFAULT_BINS) -> HistogramDensity:
     """Area-normalized histogram of all eigenvalues pooled over an ensemble."""
-    _check_bins(bins)
+    _exact_int(bins, "bins", 1)
     values = np.concatenate(_ensemble_values(spectra))
     # snap round-off dust at the spectral edges back into range
     lo, hi = DENSITY_SUPPORT
@@ -116,7 +110,7 @@ def spacing_distribution(
     bins: int = DEFAULT_BINS,
 ) -> HistogramDensity:
     """Histogram of :func:`pooled_bulk_spacings`, area-normalized."""
-    _check_bins(bins)
+    _exact_int(bins, "bins", 1)
     return _pooled_histogram(pooled_bulk_spacings(spectra, bulk_fraction), bins, SPACING_SUPPORT)
 
 
@@ -155,10 +149,13 @@ def mean_jth_spacing(spectra: Iterable[Spectrum]) -> np.ndarray:
 
 
 def ks_distance(samples: Sequence[float], cdf: Callable) -> float:
-    """Sup-distance between the empirical CDF of samples and a reference CDF."""
+    """Sup-distance between the empirical CDF of samples and a reference CDF;
+    ``samples`` must be non-empty and finite, else ValueError."""
     x = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     if x.size == 0:
         raise ValueError("empty sample")
+    if not np.isfinite(x).all():
+        raise ValueError("samples must be finite")
     ref = np.asarray(cdf(x), dtype=np.float64)
     steps = np.arange(1, x.size + 1) / x.size
     return float(max((steps - ref).max(), (ref - steps + 1.0 / x.size).max()))

@@ -85,8 +85,7 @@ def closed_walk_counts(g: Gluing, r_max: int) -> list[int]:
     """
     import numpy as np
 
-    if _exact_int(r_max, "r_max") < 1:
-        raise ValueError("need r_max >= 1")
+    _exact_int(r_max, "r_max", 1)
     if r_max > MAX_WALK_LENGTH:
         raise ValueError(
             f"r_max = {r_max} exceeds the exact-arithmetic cap {MAX_WALK_LENGTH}"

@@ -448,26 +448,27 @@ _RECORD = '{{"n":{n},"partner":{partner},"genus":{genus},"seed":0,"sample_index"
 _N2 = _RECORD.format(n=2, partner=[2, 1, 4, 3], genus=0)
 _N3 = _RECORD.format(n=3, partner=[2, 1, 4, 3, 6, 5], genus=0)
 _TORUS_AS_SPHERE = _RECORD.format(n=2, partner=[3, 4, 1, 2], genus=0)
+_NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
 
 
 # every validation failure: (argv, ensemble file contents, exit code, the one stderr line)
 @pytest.mark.parametrize(
     "argv, ensemble, code, err",
     [
-        (["generate", "--n", 10, "--samples", 0], None, 2, "need --samples >= 1"),
-        (["generate", "--n", 0, "--samples", 1], None, 2, "need --n >= 1"),
+        (["generate", "--n", 10, "--samples", 0], None, 2, "need --samples >= 1, got 0"),
+        (["generate", "--n", 0, "--samples", 1], None, 2, "need --n >= 1, got 0"),
         (["generate", "--sampler", "genus-filtered", "--n", 4, "--genus", 1, "--samples", 1,
-          "--budget", 0], None, 2, "need --budget >= 1"),
+          "--budget", 0], None, 2, "need --budget >= 1, got 0"),
         (["generate", "--n", 4, "--samples", 1, "--seed", -1], None, 2,
-         "need 0 <= --seed < 2**64"),
+         "need 0 <= --seed <= 18446744073709551615, got -1"),
         (["generate", "--n", 4, "--samples", 1, "--seed", 2**64], None, 2,
-         "need 0 <= --seed < 2**64"),
+         "need 0 <= --seed <= 18446744073709551615, got 18446744073709551616"),
         (["generate", "--sampler", "genus-filtered", "--n", 10, "--samples", 1], None, 2,
          "--genus is required with --sampler genus-filtered"),
         (["generate", "--n", 10, "--samples", 1, "--genus", 2], None, 2,
          "--genus only applies to --sampler genus-filtered"),
-        (["count", 3, 4], None, 2, "need 0 <= 2g <= n, got g=3, n=4"),
-        (["table", 0], None, 2, "need n >= 1"),
+        (["count", 3, 4], None, 2, "need 0 <= g <= 2, got 3"),
+        (["table", 0], None, 2, "need n >= 1, got 0"),
         (["enumerate", "--n", 9], None, 2, "exhaustive enumeration capped at n = 8"),
         (["walks", "{ens}", "--rmax", 21], _N2, 2,
          "r_max = 21 exceeds the exact-arithmetic cap 20"),
@@ -482,6 +483,8 @@ _TORUS_AS_SPHERE = _RECORD.format(n=2, partner=[3, 4, 1, 2], genus=0)
          "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         (["degrees", "{ens}"], _N2 + "[2, 1]\n", 2,
          "record on line 2: bad ensemble record: a record must be a JSON object, got list"),
+        (["genus", "{ens}"], _NEGATIVE_SEED, 2,
+         "record on line 1: bad ensemble record: need 0 <= seed <= 18446744073709551615, got -5"),
         (["density", "{ens}", "--bins", 0], _N2, 2, "need bins >= 1, got 0"),
         (["spacings", "{ens}", "--bins", -5], _N2, 2, "need bins >= 1, got -5"),
         (["generate", "--sampler", "genus-filtered", "--n", 50, "--samples", 1, "--genus", 0,
@@ -490,7 +493,7 @@ _TORUS_AS_SPHERE = _RECORD.format(n=2, partner=[3, 4, 1, 2], genus=0)
     ],
     ids=["samples0", "n0", "budget0", "seed-negative", "seed-big", "no-genus", "stray-genus",
          "count", "table", "enumerate", "walks", "spacings", "meanjth-mixed", "empty",
-         "wrong-genus", "not-utf8", "not-an-object", "density-bins0", "spacings-bins-negative",
+         "wrong-genus", "not-utf8", "not-an-object", "negative-seed", "density-bins0", "spacings-bins-negative",
          "budget"],
 )
 def test_error_contract(argv, ensemble, code, err, tmp_path, capsys):

@@ -69,11 +69,11 @@ def test_harer_zagier_small_values():
 
 
 def test_harer_zagier_out_of_range():
-    with pytest.raises(ValueError, match="need 0 <= 2g <= n, got g=2, n=3"):
+    with pytest.raises(ValueError, match="^need 0 <= g <= 1, got 2$"):
         harer_zagier(2, 3)
-    with pytest.raises(ValueError, match="need 0 <= 2g <= n, got g=-1, n=3"):
+    with pytest.raises(ValueError, match="^need 0 <= g <= 1, got -1$"):
         harer_zagier(-1, 3)
-    with pytest.raises(ValueError, match="need n >= 1"):
+    with pytest.raises(ValueError, match="^need n >= 1, got 0$"):
         harer_zagier(0, 0)
 
 

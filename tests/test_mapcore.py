@@ -20,6 +20,7 @@ from onefacemaps import (
     RngStream,
     build_adjacency,
     closed_walk_counts,
+    empirical_density,
     enumerate_all_gluings,
     enumerate_ncpp,
     genus,
@@ -29,10 +30,11 @@ from onefacemaps import (
     sample_genus_filtered,
     sample_ncpp,
     sample_uniform_gluing,
+    spacing_distribution,
     vertex_cycles,
     write_records,
 )
-from onefacemaps import mapcore
+from onefacemaps import cli, mapcore
 from onefacemaps.mapcore import _conjugate, _orbit_counts
 
 
@@ -147,6 +149,69 @@ def test_labels_that_are_not_ints_rejected(partner, fault):
 def test_integer_parameters_that_are_not_ints_rejected(call, fault):
     with pytest.raises(ValueError, match=re.escape(fault)):
         call()
+
+
+def _generate(*argv):
+    args = cli.build_parser().parse_args(["generate", *map(str, argv)])
+    return args.func(args)
+
+
+def _record(seed=0, sample_index=0):
+    return EnsembleRecord(brute.gluing([2, 1]), genus=0, seed=seed, sample_index=sample_index)
+
+
+_SEEDS = "0 <= {} <= 18446744073709551615"
+
+
+# one value just past each bound of every integer parameter
+@pytest.mark.parametrize(
+    "call, fault",
+    [
+        (lambda: harer_zagier(1, 0), "need n >= 1, got 0"),
+        (lambda: harer_zagier(-1, 4), "need 0 <= g <= 2, got -1"),
+        (lambda: harer_zagier(3, 4), "need 0 <= g <= 2, got 3"),
+        (lambda: genus_distribution(0), "need n >= 1, got 0"),
+        (lambda: enumerate_all_gluings(0), "need n >= 1, got 0"),
+        (lambda: enumerate_ncpp(0), "need n >= 1, got 0"),
+        (lambda: sample_uniform_gluing(0, RngStream(0)), "need n >= 1, got 0"),
+        (lambda: sample_ncpp(0, RngStream(0)), "need n >= 1, got 0"),
+        (lambda: sample_genus_filtered(0, 0, 10, RngStream(0), num_samples=1),
+         "need n >= 1, got 0"),
+        (lambda: sample_genus_filtered(6, -1, 10, RngStream(0), num_samples=1),
+         "need 0 <= target_genus <= 3, got -1"),
+        (lambda: sample_genus_filtered(6, 4, 10, RngStream(0), num_samples=1),
+         "need 0 <= target_genus <= 3, got 4"),
+        (lambda: sample_genus_filtered(6, 1, 0, RngStream(0), num_samples=1),
+         "need max_attempts >= 1, got 0"),
+        (lambda: sample_genus_filtered(6, 1, 10, RngStream(0), num_samples=0),
+         "need num_samples >= 1, got 0"),
+        (lambda: RngStream(-1), f"need {_SEEDS.format('master_seed')}, got -1"),
+        (lambda: RngStream(2**64), f"need {_SEEDS.format('master_seed')}, got {2**64}"),
+        (lambda: RngStream(0, -1), "need stream_index >= 0, got -1"),
+        (lambda: closed_walk_counts(brute.gluing([2, 1]), 0), "need r_max >= 1, got 0"),
+        (lambda: empirical_density([], bins=0), "need bins >= 1, got 0"),
+        (lambda: spacing_distribution([], bins=0), "need bins >= 1, got 0"),
+        (lambda: _generate("--n", 4, "--samples", 0), "need --samples >= 1, got 0"),
+        (lambda: _generate("--n", 0, "--samples", 1), "need --n >= 1, got 0"),
+        (lambda: _generate("--n", 4, "--samples", 1, "--budget", 0), "need --budget >= 1, got 0"),
+        (lambda: _generate("--n", 4, "--samples", 1, "--seed", -1),
+         f"need {_SEEDS.format('--seed')}, got -1"),
+        (lambda: _generate("--n", 4, "--samples", 1, "--seed", 2**64),
+         f"need {_SEEDS.format('--seed')}, got {2**64}"),
+        (lambda: _record(seed=-1), f"need {_SEEDS.format('seed')}, got -1"),
+        (lambda: _record(seed=2**64), f"need {_SEEDS.format('seed')}, got {2**64}"),
+        (lambda: _record(sample_index=-1), "need sample_index >= 0, got -1"),
+    ],
+    ids=["count-n", "count-g-low", "count-g-high", "table-n", "enum-all-n", "enum-ncpp-n",
+         "uniform-n", "ncpp-n", "filtered-n", "target-low", "target-high", "attempts",
+         "num-samples", "seed-low", "seed-high", "index", "walks-rmax", "density-bins",
+         "spacings-bins", "cli-samples", "cli-n", "cli-budget", "cli-seed-low", "cli-seed-high",
+         "record-seed-low", "record-seed-high", "record-index"],
+)
+def test_integer_parameters_out_of_range_rejected(call, fault):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == fault
 
 
 @pytest.mark.parametrize("partner", [[2, 1], None])
@@ -317,8 +382,12 @@ def test_write_records_takes_any_path_like(tmp_path, tmpdir):
         ("seed", True, "seed must be an int, got True"),
         ("sample_index", 0.5, "sample_index must be an int, got 0.5"),
         ("genus", 5, "genus is 5, its gluing has genus 0"),
+        ("seed", -1, "need 0 <= seed <= 18446744073709551615, got -1"),
+        ("seed", 2**64, "need 0 <= seed <= 18446744073709551615, got 18446744073709551616"),
+        ("sample_index", -1, "need sample_index >= 0, got -1"),
     ],
-    ids=["gluing-tuple", "genus-numpy", "seed-bool", "index-float", "genus-wrong"],
+    ids=["gluing-tuple", "genus-numpy", "seed-bool", "index-float", "genus-wrong", "seed-negative",
+         "seed-big", "index-negative"],
 )
 def test_record_fields_checked_at_construction(field, value, fault):
     fields = {"gluing": brute.gluing([2, 1]), "genus": 0, "seed": 0, "sample_index": 0}

@@ -8,6 +8,7 @@ import pytest
 import brute
 from onefacemaps import (
     RngStream,
+    Spectrum,
     build_adjacency,
     closed_walk_counts,
     eigenvalues_symmetric,
@@ -192,6 +193,27 @@ def test_rejects_non_finite_entries():
     for a in (bipartite, dense, nan):
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             eigenvalues_symmetric(a)
+
+
+_NOT_1D_FLOAT64 = "spectrum values must be a 1-D float64 array, got "
+
+
+@pytest.mark.parametrize(
+    "values, fault",
+    [
+        (np.array([-1.0, np.nan, 3.0]), "spectrum values must be finite"),
+        (np.array([-1.0, 0.0, np.inf]), "spectrum values must be finite"),
+        (np.zeros((2, 2)), _NOT_1D_FLOAT64 + "float64 of shape (2, 2)"),
+        (np.array([3.0, -1.0, -1.0, -1.0]), "spectrum values must be ascending"),
+        (np.array([-1, -1, -1, 3], dtype=np.int64), _NOT_1D_FLOAT64 + "int64 of shape (4,)"),
+        ([-1.0, -1.0, -1.0, 3.0], _NOT_1D_FLOAT64 + "list of shape (4,)"),
+    ],
+    ids=["nan", "inf", "2d", "descending", "int64", "list"],
+)
+def test_spectrum_checks_its_values_when_built(values, fault):
+    with pytest.raises(ValueError) as exc:
+        Spectrum(values=values)
+    assert str(exc.value) == fault
 
 
 @pytest.mark.parametrize(

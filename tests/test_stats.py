@@ -233,6 +233,12 @@ def test_ks_distance_empty():
         ks_distance([], exponential_cdf)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ks_distance_rejects_non_finite_samples(bad):
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        ks_distance([bad, 0.5], exponential_cdf)
+
+
 def test_l1_distance_identical_histogram():
     h = HistogramDensity(
         bin_edges=np.array([0.0, 1.0, 2.0]),
