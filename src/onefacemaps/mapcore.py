@@ -21,7 +21,7 @@ import functools
 import json
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -36,6 +36,11 @@ _SEED_MAX = 2**64 - 1  # the largest seed of an RngStream or of a record's prove
 _LABELS: tuple[int, ...] = ()
 
 
+def _rebuild(self):
+    """``__reduce__`` of each checked type: pickles and copies pass the class's checks again."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
 class Gluing:
     """Fixed-point-free involution on the labels 1..2n.
@@ -44,8 +49,6 @@ class Gluing:
     the table's length.  Instances are immutable and hashable, and are
     checked when they are built, so every ``Gluing`` that exists is valid:
     a violated invariant raises a ValueError that names the first one.
-    A pickled or copied gluing is built again from its table, so it passes
-    the same checks and keeps no cached walk.
     A checked table is rebuilt from one shared table of label ints, so a
     label costs its 8-byte slot in the tuple, not a 32-byte int of its own.
     """
@@ -81,8 +84,7 @@ class Gluing:
             _LABELS += tuple(range(len(_LABELS), two_n + 1))
         object.__setattr__(self, "partner", operator.itemgetter(*self.partner)(_LABELS))
 
-    def __reduce__(self):
-        return (Gluing, (self.partner,))
+    __reduce__ = _rebuild
 
     @functools.cached_property
     def _degrees(self) -> dict[int, int]:
@@ -246,9 +248,7 @@ class EnsembleRecord:
         if self.genus != actual:
             raise ValueError(f"genus is {self.genus}, its gluing has genus {actual}")
 
-    def __reduce__(self):
-        # pickles and copies are built again, through the checks above
-        return (EnsembleRecord, (self.gluing, self.genus, self.seed, self.sample_index))
+    __reduce__ = _rebuild
 
     @property
     def n(self) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExhaustedError
-from .mapcore import _SEED_MAX, Gluing, _conjugate, _exact_int, _orbit_counts
+from .mapcore import _SEED_MAX, Gluing, _conjugate, _exact_int, _orbit_counts, _rebuild
 
 # labels (draws x 2n) whose orbits one batch of genus filtering counts at once
 _FILTER_BATCH_LABELS = 1 << 16
@@ -42,6 +42,8 @@ class RngStream:
     def __post_init__(self):
         _exact_int(self.master_seed, "master_seed", 0, _SEED_MAX)
         _exact_int(self.stream_index, "stream_index", 0)
+
+    __reduce__ = _rebuild
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=(self.master_seed, self.stream_index))

@@ -25,8 +25,8 @@ second thread does not speed ``dgesdd`` up at these sizes.  The dense
 solve keeps the caller's thread count, because ``dsyevd`` does gain from
 a second thread, so its last bits can still differ between thread counts.
 
-One lookup finds both routines and the thread calls in that library.
-Where it does not find all four, ``np.linalg`` solves the same copy on the
+Each solve asks once whether one lookup found both routines and the thread
+calls in that library; if not, ``np.linalg`` solves the same copy on the
 caller's threads, so bipartite spectra too hold only at one thread count.
 """
 
@@ -42,16 +42,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergenceError
-from .mapcore import _map_matrix, _parity_blocks_vanish
+from .mapcore import _map_matrix, _parity_blocks_vanish, _rebuild
 
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Ascending eigenvalues of one map's adjacency matrix.
 
-    Always 2n values in [-3, 3]; the top value is 3 up to round-off
-    because the spanning cycle keeps the graph connected and three-regular.
-    Checked when built: a 1-D float64 array, finite and ascending, or ValueError.
+    Checked when built and after a pickle or copy: a 1-D float64 array,
+    finite and ascending, kept as its own read-only copy, or ValueError.
+    Only solved spectra have 2n values in [-3, 3], the top one 3 up to
+    round-off (the graph is connected and three-regular).
     """
 
     values: np.ndarray
@@ -61,10 +62,15 @@ class Spectrum:
         if not isinstance(v, np.ndarray) or v.dtype != np.float64 or v.ndim != 1:
             got = f"{getattr(v, 'dtype', type(v).__name__)} of shape {np.shape(v)}"
             raise ValueError(f"spectrum values must be a 1-D float64 array, got {got}")
+        v = v.copy()  # checked after the copy, so the caller's array cannot change it
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
         if not np.isfinite(v).all():
             raise ValueError("spectrum values must be finite")
         if (v[1:] < v[:-1]).any():
             raise ValueError("spectrum values must be ascending")
+
+    __reduce__ = _rebuild
 
 
 def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:
@@ -93,18 +99,20 @@ def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:
         raise ValueError("matrix entries must be finite")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
+    bundled = _openblas() is not None  # else np.linalg, on the caller's threads
     try:
         if _parity_blocks_vanish(a):
-            with _one_blas_thread():
-                s = _singular_values(np.array(a[0::2, 1::2], dtype=np.float64, order="F"))
+            work = np.array(a[0::2, 1::2], dtype=np.float64, order="F")
+            with _one_blas_thread() if bundled else contextlib.nullcontext():
+                s = _singular_values(work) if bundled else np.linalg.svd(work, compute_uv=False)
             values = np.concatenate((-s, s[::-1])) + 0.0  # ascending; -0.0 becomes 0.0
         else:
             # a equals its transpose, so its row-major copy read as Fortran-ordered
             # is the same matrix, at a third of the cost of a transposing copy
-            values = _symmetric_eigenvalues(a.astype(np.float64, order="C").T)
+            work = a.astype(np.float64, order="C").T
+            values = _symmetric_eigenvalues(work) if bundled else np.linalg.eigvalsh(work)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    values.setflags(write=False)
     return Spectrum(values=values)
 
 
@@ -152,13 +160,9 @@ def _openblas():
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block on one OpenBLAS thread, then restore the caller's count,
-    also when the block raises; a no-op where ``_openblas()`` is None."""
-    lib = _openblas()
-    if lib is None:
-        yield
-        return
-    get, set_ = lib[2:]
+    """Run the block on one thread of the bundled OpenBLAS, then restore the
+    caller's count, also when the block raises."""
+    get, set_ = _openblas()[2:]
     before = get()
     set_(1)
     try:
@@ -179,10 +183,7 @@ def _raise_on(info: _INT, routine: str) -> None:
 def _symmetric_eigenvalues(work: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric Fortran-ordered float64 ``work``,
     by ``dsyevd('N', 'L')``, which overwrites ``work``."""
-    lib = _openblas()
-    if lib is None:
-        return np.linalg.eigvalsh(work)
-    syevd = lib[0]
+    syevd = _openblas()[0]
     m = _ref(work.shape[0])
     w = np.empty(work.shape[0])
     a_ptr, w_ptr = work.ctypes.data, w.ctypes.data
@@ -203,10 +204,7 @@ def _symmetric_eigenvalues(work: np.ndarray) -> np.ndarray:
 def _singular_values(work: np.ndarray) -> np.ndarray:
     """Descending singular values of the square Fortran-ordered float64
     ``work``, by ``dgesdd('N')``, which overwrites ``work``."""
-    lib = _openblas()
-    if lib is None:
-        return np.linalg.svd(work, compute_uv=False)
-    gesdd = lib[1]
+    gesdd = _openblas()[1]
     m = _ref(work.shape[0])
     s = np.empty(work.shape[0])
     iwork = np.empty(8 * work.shape[0], dtype=np.int64)

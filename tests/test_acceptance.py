@@ -3,16 +3,8 @@
 Run with ``pytest -v -s tests/test_acceptance.py`` to see one pass/fail
 line per criterion plus the measured numbers.  The statistical criteria
 use fixed seeds, so the whole suite is deterministic.
-
-Set ONEFACEMAPS_FULL_ACCEPTANCE=1 to run the redundant matrix-level
-checks of criterion 4 (bipartiteness, spectral symmetry of a dense solve
-and agreement of the package's spectrum with it) on every single
-draw at the large sizes instead of a deterministic subsample; that adds
-hours of eigensolves without changing what is being verified, since the
-combinatorial checks already cover all 10,000 draws per size.
 """
 
-import os
 import time
 from collections import Counter
 
@@ -52,8 +44,6 @@ from onefacemaps.errors import BudgetExhaustedError
 
 # minutes of work; `pytest -m "not acceptance"` runs only the unit tests
 pytestmark = pytest.mark.acceptance
-
-FULL = bool(os.environ.get("ONEFACEMAPS_FULL_ACCEPTANCE"))
 
 BULK_FRACTION = 0.8
 BINS = 100
@@ -124,12 +114,9 @@ def test_criterion_03_sampler_uniformity():
 def test_criterion_04_genus_zero_soundness(n):
     draws = 10_000
     # matrix-level rechecks are redundant with the combinatorial ones, so
-    # at the larger sizes they run on a deterministic subsample by default
-    if FULL:
-        matrix_stride = spectra_stride = 1
-    else:
-        matrix_stride = {10: 1, 100: 1, 1000: 50}[n]
-        spectra_stride = {10: 1, 100: 1, 1000: 200}[n]
+    # at the largest size they run on a deterministic subsample
+    matrix_stride = {10: 1, 100: 1, 1000: 50}[n]
+    spectra_stride = {10: 1, 100: 1, 1000: 200}[n]
     checked_matrix = checked_spectra = 0
     for i in range(draws):
         g = sample_ncpp(n, RngStream(4000 + n, i))

@@ -537,6 +537,7 @@ def test_eigensolver_failure_is_exit_5(monkeypatch, tmp_path, capsys):
         raise np.linalg.LinAlgError("dsyevd returned info = 1")
 
     monkeypatch.setattr(spectra, "_symmetric_eigenvalues", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)  # the solve where numpy bundles no OpenBLAS
     ens = tmp_path / "ens.jsonl"
     ens.write_text(_RECORD.format(n=2, partner=[3, 4, 1, 2], genus=1))  # K4: the dense path
     assert run("spectrum", ens) == 5

@@ -20,6 +20,7 @@ from onefacemaps import (
     RngStream,
     build_adjacency,
     closed_walk_counts,
+    eigenvalues_symmetric,
     empirical_density,
     enumerate_all_gluings,
     enumerate_ncpp,
@@ -404,6 +405,28 @@ def test_record_round_trip_checks_its_fields(round_trip):
     object.__setattr__(rec, "genus", 5)  # the genus of an edited pickle
     with pytest.raises(ValueError, match="genus is 5, its gluing has genus 0"):
         round_trip(rec)
+
+
+@_ROUND_TRIPS
+def test_stream_round_trip_checks_its_seed(round_trip):
+    stream = RngStream(2**64 - 1, 7)
+    back = round_trip(stream)
+    assert back == stream
+    assert back.generator().integers(2**63) == stream.generator().integers(2**63)
+    object.__setattr__(stream, "master_seed", -5)  # the seed of an edited pickle
+    with pytest.raises(ValueError, match=r"^need 0 <= master_seed <= 18446744073709551615, got -5$"):
+        round_trip(stream)
+
+
+@_ROUND_TRIPS
+def test_spectrum_round_trip_keeps_its_bytes_read_only_and_checks_them(round_trip):
+    spectrum = eigenvalues_symmetric(build_adjacency(sample_uniform_gluing(50, RngStream(9, 4))))
+    back = round_trip(spectrum)
+    assert back.values.tobytes() == spectrum.values.tobytes()
+    assert not back.values.flags.writeable
+    object.__setattr__(spectrum, "values", np.array([3.0, np.nan]))  # the values of an edited pickle
+    with pytest.raises(ValueError, match=r"^spectrum values must be finite$"):
+        round_trip(spectrum)
 
 
 def test_every_small_and_drawn_gluing_survives_its_records(tmp_path):

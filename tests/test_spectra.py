@@ -216,6 +216,15 @@ def test_spectrum_checks_its_values_when_built(values, fault):
     assert str(exc.value) == fault
 
 
+def test_spectrum_keeps_its_values_from_the_array_it_was_built_from():
+    values = np.array([-1.0, -1.0, -1.0, 3.0])
+    spectrum = Spectrum(values=values)
+    values[1] = np.nan  # after the check, as a caller holding the array could
+    assert np.isfinite(spectrum.values).all()
+    assert spectrum.values.tolist() == [-1.0, -1.0, -1.0, 3.0]
+    assert not spectrum.values.flags.writeable
+
+
 @pytest.mark.parametrize(
     "sampler, n, bound",
     [(sample_uniform_gluing, 300, 1.3), (sample_ncpp, 500, 0.5)],
