@@ -83,16 +83,17 @@ def cmd_generate(args) -> int:
 
     _exact_int(args.samples, "--samples", 1)
     _exact_int(args.n, "--n", 1)
-    _exact_int(args.budget, "--budget", 1)
     _exact_int(args.seed, "--seed", 0, _SEED_MAX)
     if args.sampler == "genus-filtered":
         if args.genus is None:
             raise ValueError("--genus is required with --sampler genus-filtered")
+        budget = 10_000 if args.budget is None else _exact_int(args.budget, "--budget", 1)
         gluings = samplers.sample_genus_filtered(
-            args.n, args.genus, args.budget, samplers.RngStream(args.seed, 0), num_samples=args.samples
+            args.n, args.genus, budget, samplers.RngStream(args.seed, 0), num_samples=args.samples
         ).gluings
-    elif args.genus is not None:
-        raise ValueError("--genus only applies to --sampler genus-filtered")
+    elif args.genus is not None or args.budget is not None:
+        flag = "--genus" if args.genus is not None else "--budget"
+        raise ValueError(f"{flag} only applies to --sampler genus-filtered")
     else:
         draw = samplers.sample_uniform_gluing if args.sampler == "uniform" else samplers.sample_ncpp
         gluings = [draw(args.n, samplers.RngStream(args.seed, i)) for i in range(args.samples)]
@@ -207,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sampler", choices=["uniform", "ncpp", "genus-filtered"], default="uniform")
     p.add_argument("--genus", type=int, default=None, help="target genus (genus-filtered only)")
-    p.add_argument("--budget", type=int, default=10_000, help="max draws for genus filtering")
+    p.add_argument("--budget", type=int, default=None,
+                   help="max draws for genus filtering (genus-filtered only, default 10000)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate)
 

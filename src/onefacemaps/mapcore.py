@@ -7,12 +7,13 @@ per glued pair, so every vertex has degree exactly three and the adjacency
 matrix splits into a cycle part and a permuted perfect matching.
 
 Labels are 1-based in the public names of this module and in serialized
-records.  Both label rules live here and nowhere else: the standard
-matching 2k-1 <-> 2k, which ``_conjugate`` conjugates by random
-permutations to make gluings, and the vertex orbits i -> partner(i+1),
-walked for one gluing by ``vertex_cycles`` and counted for a batch by
-``_orbit_counts``.  Those two private kernels work on rows of 0-based
-numpy arrays; numpy is imported only by the functions that use arrays.
+records.  Three rules live here only: the standard matching 2k-1 <-> 2k,
+which ``_conjugate`` conjugates by random permutations to make gluings;
+the vertex orbits i -> partner(i+1), walked by ``vertex_cycles`` and
+counted for a batch by ``_orbit_counts``; and the adjacency product
+``_adjacency_times``, of which ``build_adjacency`` is the identity's
+image.  The kernels work on 0-based numpy arrays; numpy is imported only
+by the functions that use arrays.
 """
 
 from __future__ import annotations
@@ -195,8 +196,22 @@ def _orbit_counts(mates: np.ndarray) -> np.ndarray:
     return np.count_nonzero(low.reshape(rows, two_n) == flat, axis=1)
 
 
+def _adjacency_times(g: Gluing, x: np.ndarray) -> np.ndarray:
+    """A @ x, in x's dtype, for the adjacency A of ``g`` (2n-cycle, its transpose,
+    glued matching) and a 2-D ``x`` with 2n rows: 0-based row i is x[i - 1] +
+    x[i + 1] + x[partner(i + 1) - 1], a row gather and four in-place adds."""
+    import numpy as np
+
+    out = x[np.asarray(g.partner, dtype=np.int64) - 1]
+    out[1:] += x[:-1]
+    out[0] += x[-1]
+    out[:-1] += x[1:]
+    out[-1] += x[0]
+    return out
+
+
 def build_adjacency(g: Gluing) -> np.ndarray:
-    """Adjacency matrix of the 2n-cycle plus the glued matching, as int8.
+    """Adjacency matrix of the map graph, as int8: the rule applied to the identity.
 
     Entries count edges, so a glued pair that coincides with a cycle edge
     yields entry 2 (and the degenerate n=1 map yields a single entry 3).
@@ -205,15 +220,7 @@ def build_adjacency(g: Gluing) -> np.ndarray:
     """
     import numpy as np
 
-    two_n = 2 * g.n
-    a = np.zeros((two_n, two_n), dtype=np.int8)
-    idx = np.arange(two_n)
-    succ = (idx + 1) % two_n
-    a[idx, succ] += 1
-    a[succ, idx] += 1
-    mate = np.asarray(g.partner, dtype=np.int64) - 1
-    a[idx, mate] += 1
-    return a
+    return _adjacency_times(g, np.eye(2 * g.n, dtype=np.int8))
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,33 @@ def sample_ncpp(n: int, rng) -> Gluing:
     return _gluing(_noncrossing_partner(up))
 
 
+def _glue(partner: tuple[int, ...], least_labels) -> tuple[int, ...]:
+    """Chapuy's gluing (Adv. Appl. Math. 47, 2011) of k = 2p+1 map vertices
+    into one, on a 1-based partner table and the least labels of those
+    vertices, the first entries of their ``vertex_cycles``.
+
+    With a_1 < ... < a_k those labels and tau = (a_1 ... a_k), the new face
+    x -> (tau(x) mod 2n) + 1 is one 2n-cycle.  Each label is renamed by its
+    position along it, label 1 first, and the partner table is carried
+    through the renaming.  The vertex permutation i -> partner(i+1) is
+    composed with tau, which merges the k vertices into one, so the genus
+    rises by p; each genus-g gluing is the image of exactly 2g pairs of a
+    gluing and an odd set of at least 3 of its vertices.
+    """
+    two_n = len(partner)
+    a = sorted(least_labels)
+    tau = dict(zip(a, a[1:] + a[:1]))
+    position = [0] * (two_n + 1)
+    x = 1
+    for pos in range(1, two_n + 1):
+        position[x] = pos
+        x = tau.get(x, x) % two_n + 1
+    glued = [0] * two_n
+    for x, p in enumerate(partner, start=1):
+        glued[position[x] - 1] = position[p]
+    return tuple(glued)
+
+
 @dataclass(frozen=True)
 class FilteredSample:
     """Maps kept by genus filtering plus the number of draws spent."""

@@ -116,7 +116,7 @@ def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:
     return Spectrum(values=values)
 
 
-_INT = ctypes.c_int64  # both symbol spellings below are the ILP64 (64-bit integer) LAPACK
+_INT = ctypes.c_int64  # the symbols below are the ILP64 (64-bit integer) LAPACK
 _PTR = ctypes.c_void_p
 _REF = ctypes.POINTER(_INT)
 _LEN = ctypes.c_size_t  # gfortran's hidden length of each CHARACTER argument
@@ -127,11 +127,11 @@ def _openblas():
     """``(dsyevd, dgesdd, get_threads, set_threads)``, with their ctypes
     signatures set, all from one OpenBLAS bundled in numpy's wheel, or None.
 
-    Each name is tried as numpy >= 2 wheels spell it, with a ``scipy_``
-    prefix, then as numpy 1.x wheels do, without one.  None when numpy was
-    built against another BLAS or no bundled library exports all four; one
-    with the LAPACK routines but not the thread calls, or the reverse, is
-    not used, and no numpy wheel ships such a library.
+    Each name carries the ``scipy_`` prefix that numpy >= 2 wheels give it.
+    None when numpy was built against another BLAS or no bundled library
+    exports all four; one with the LAPACK routines but not the thread
+    calls, or the reverse, is not used, and no numpy wheel ships such a
+    library.
     """
     names = ("dsyevd_64_", "dgesdd_64_", "openblas_get_num_threads64_", "openblas_set_num_threads64_")
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*")
@@ -140,21 +140,20 @@ def _openblas():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for prefix in ("scipy_", ""):
-            found = [getattr(lib, prefix + name, None) for name in names]
-            if None in found:
-                continue
-            syevd, gesdd, get, set_ = found
-            # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO
-            syevd.argtypes = [ctypes.c_char_p] * 2 + [_REF, _PTR, _REF, _PTR, _PTR, _REF,
-                                                      _PTR, _REF, _REF, _LEN, _LEN]
-            # JOBZ, M, N, A, LDA, S, U, LDU, VT, LDVT, WORK, LWORK, IWORK, INFO
-            gesdd.argtypes = [ctypes.c_char_p, _REF, _REF, _PTR, _REF, _PTR, _PTR, _REF,
-                              _PTR, _REF, _PTR, _REF, _PTR, _REF, _LEN]
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes = [ctypes.c_int]
-            syevd.restype = gesdd.restype = set_.restype = None
-            return syevd, gesdd, get, set_
+        found = [getattr(lib, "scipy_" + name, None) for name in names]
+        if None in found:
+            continue
+        syevd, gesdd, get, set_ = found
+        # JOBZ, UPLO, N, A, LDA, W, WORK, LWORK, IWORK, LIWORK, INFO
+        syevd.argtypes = [ctypes.c_char_p] * 2 + [_REF, _PTR, _REF, _PTR, _PTR, _REF,
+                                                  _PTR, _REF, _REF, _LEN, _LEN]
+        # JOBZ, M, N, A, LDA, S, U, LDU, VT, LDVT, WORK, LWORK, IWORK, INFO
+        gesdd.argtypes = [ctypes.c_char_p, _REF, _REF, _PTR, _REF, _PTR, _PTR, _REF,
+                          _PTR, _REF, _PTR, _REF, _PTR, _REF, _LEN]
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes = [ctypes.c_int]
+        syevd.restype = gesdd.restype = set_.restype = None
+        return syevd, gesdd, get, set_
     return None
 
 

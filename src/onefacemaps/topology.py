@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .mapcore import Gluing, _exact_int, _map_matrix, _parity_blocks_vanish, build_adjacency
+from .mapcore import Gluing, _adjacency_times, _exact_int, _map_matrix, _parity_blocks_vanish
+from .mapcore import build_adjacency
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,27 +79,18 @@ def degree_distribution(g: Gluing) -> dict[int, int]:
 def closed_walk_counts(g: Gluing, r_max: int) -> list[int]:
     """Exact numbers of closed walks of lengths 1..r_max: trace(A^r).
 
-    A is the 2n-cycle, its transpose and the glued matching, so row i of
-    A @ X is X[i - 1] + X[i + 1] + X[mate(i)]: each power is a row gather
-    plus four shifted row slices added in place, in int64, with no matrix
-    product.  Capped at r_max = 20 so the int64 powers cannot overflow.
+    Each power is the one before stepped by ``mapcore``'s adjacency rule,
+    in int64, with no matrix product.  Capped at r_max = 20 so the int64
+    powers cannot overflow.
     """
-    import numpy as np
-
     _exact_int(r_max, "r_max", 1)
     if r_max > MAX_WALK_LENGTH:
         raise ValueError(
             f"r_max = {r_max} exceeds the exact-arithmetic cap {MAX_WALK_LENGTH}"
         )
-    mate = np.asarray(g.partner, dtype=np.int64) - 1
-    power = build_adjacency(g).astype(np.int64)
-    walks = [int(np.trace(power))]
+    power = build_adjacency(g).astype("int64")
+    walks = [int(power.trace())]
     for _ in range(2, r_max + 1):
-        nxt = power[mate]
-        nxt[1:] += power[:-1]
-        nxt[0] += power[-1]
-        nxt[:-1] += power[1:]
-        nxt[-1] += power[0]
-        power = nxt
-        walks.append(int(np.trace(power)))
+        power = _adjacency_times(g, power)
+        walks.append(int(power.trace()))
     return walks

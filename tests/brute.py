@@ -8,7 +8,8 @@ genus counts come from the Harer-Zagier generating function as an exact
 rational power series, not from the package's recurrence, spectra come
 from a dense symmetric eigensolve of the whole matrix, bipartiteness
 from a breadth-first 2-coloring that assumes nothing about the graph,
-closed walks from matrix powers in Python integers, and genus-filtered
+the adjacency matrix one edge at a time, closed walks from powers of
+that matrix in Python integers, and genus-filtered
 rejection from single draws, one ``sample_uniform_gluing`` and one
 reverse-orientation genus at a time.  Conjugation of the standard matching
 by a permutation is the definition, label by label in Python, and the
@@ -152,6 +153,19 @@ def genus_counts_by_series(n: int, g_max: int) -> list[int]:
 def dense_spectrum(a) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending, by a dense solve."""
     return np.linalg.eigvalsh(np.asarray(a, dtype=np.float64))
+
+
+def adjacency_by_edges(partner) -> np.ndarray:
+    """int8 edge counts of the 2n-cycle plus the glued pairs, added one edge
+    at a time: the cycle edges i -- i+1 (mod 2n), then each pair i < partner(i)."""
+    two_n = len(partner)
+    edges = [(i, (i + 1) % two_n) for i in range(two_n)]
+    edges += [(i, p - 1) for i, p in enumerate(partner) if i < p - 1]
+    a = [[0] * two_n for _ in range(two_n)]
+    for u, v in edges:
+        a[u][v] += 1
+        a[v][u] += 1
+    return np.array(a, dtype=np.int8)
 
 
 def closed_walks_by_matrix_power(a, r_max: int) -> list[int]:

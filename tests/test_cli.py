@@ -467,6 +467,8 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
          "--genus is required with --sampler genus-filtered"),
         (["generate", "--n", 10, "--samples", 1, "--genus", 2], None, 2,
          "--genus only applies to --sampler genus-filtered"),
+        (["generate", "--n", 10, "--samples", 1, "--budget", 5], None, 2,
+         "--budget only applies to --sampler genus-filtered"),
         (["count", 3, 4], None, 2, "need 0 <= g <= 2, got 3"),
         (["table", 0], None, 2, "need n >= 1, got 0"),
         (["enumerate", "--n", 9], None, 2, "exhaustive enumeration capped at n = 8"),
@@ -492,7 +494,7 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
          "found 0 genus-0 maps in 50 draws, wanted 1 maps"),
     ],
     ids=["samples0", "n0", "budget0", "seed-negative", "seed-big", "no-genus", "stray-genus",
-         "count", "table", "enumerate", "walks", "spacings", "meanjth-mixed", "empty",
+         "stray-budget", "count", "table", "enumerate", "walks", "spacings", "meanjth-mixed", "empty",
          "wrong-genus", "not-utf8", "not-an-object", "negative-seed", "density-bins0", "spacings-bins-negative",
          "budget"],
 )

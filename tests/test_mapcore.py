@@ -194,7 +194,8 @@ _SEEDS = "0 <= {} <= 18446744073709551615"
         (lambda: spacing_distribution([], bins=0), "need bins >= 1, got 0"),
         (lambda: _generate("--n", 4, "--samples", 0), "need --samples >= 1, got 0"),
         (lambda: _generate("--n", 0, "--samples", 1), "need --n >= 1, got 0"),
-        (lambda: _generate("--n", 4, "--samples", 1, "--budget", 0), "need --budget >= 1, got 0"),
+        (lambda: _generate("--sampler", "genus-filtered", "--genus", 1, "--n", 4, "--samples", 1,
+                           "--budget", 0), "need --budget >= 1, got 0"),
         (lambda: _generate("--n", 4, "--samples", 1, "--seed", -1),
          f"need {_SEEDS.format('--seed')}, got -1"),
         (lambda: _generate("--n", 4, "--samples", 1, "--seed", 2**64),
@@ -306,6 +307,16 @@ def test_orbit_count_equals_vertex_cycles():
     draws = [sample_uniform_gluing(300, gen) for _ in range(200)]
     counts = _orbit_counts(np.array([g.partner for g in draws]) - 1)
     assert counts.tolist() == [len(vertex_cycles(g)) for g in draws]
+
+
+def test_adjacency_equals_edge_by_edge_oracle():
+    # every matching with n <= 4, then seeded draws; int8 and the same bytes
+    partners = [p for n in range(1, 5) for p in brute.all_matchings(n)]
+    partners += [sample_uniform_gluing(n, RngStream(41, n)).partner for n in (50, 300)]
+    for partner in partners:
+        a, expected = build_adjacency(brute.gluing(partner)), brute.adjacency_by_edges(partner)
+        assert a.dtype == expected.dtype == np.int8
+        assert a.shape == expected.shape and a.tobytes() == expected.tobytes()
 
 
 def test_adjacency_k4():

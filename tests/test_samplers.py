@@ -17,9 +17,10 @@ from onefacemaps import (
     sample_genus_filtered,
     sample_ncpp,
     sample_uniform_gluing,
+    vertex_cycles,
 )
 from onefacemaps.errors import BudgetExhaustedError
-from onefacemaps.samplers import _noncrossing_partner
+from onefacemaps.samplers import _glue, _noncrossing_partner
 
 
 def test_rng_stream_is_deterministic():
@@ -216,3 +217,30 @@ def test_genus_filtered_reproduces_its_rng_stream():
     stream = RngStream(4, 2)
     expected = brute.genus_filtered_by_single_draws(300, 147, 1_000, stream.generator(), 20)
     assert sample_genus_filtered(300, 147, 1_000, stream, num_samples=20) == expected
+
+
+def _glue_images(n, pick):
+    """(image, its genus by the rule) of ``_glue`` for every gluing of size n
+    and odd set of at least 3 of its vertices, each vertex named by ``pick(cycle)``."""
+    for g in enumerate_all_gluings(n):
+        labels = [pick(cycle) for cycle in vertex_cycles(g)]
+        for k in range(3, len(labels) + 1, 2):
+            for chosen in itertools.combinations(labels, k):
+                yield _glue(g.partner, chosen), genus(g) + k // 2
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_glue_hits_each_genus_g_gluing_2g_times(n):
+    # Chapuy's identity 2g eps_g(n) = sum_p C(n+1-2(g-p), 2p+1) eps_(g-p)(n), gluing by gluing
+    hits = Counter()
+    for image, expected_genus in _glue_images(n, lambda cycle: cycle[0]):
+        assert genus(Gluing(partner=image)) == expected_genus
+        hits[image] += 1
+    assert hits == {g.partner: 2 * genus(g) for g in enumerate_all_gluings(n) if genus(g)}
+
+
+def test_glue_misses_without_the_least_labels():
+    # negative control: the middle label of each vertex in place of its least one
+    hits = Counter(image for image, _ in _glue_images(4, lambda cycle: cycle[len(cycle) // 2]))
+    missed = [g for g in enumerate_all_gluings(4) if hits[g.partner] != 2 * genus(g)]
+    assert len(missed) == 27
