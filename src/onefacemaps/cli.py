@@ -88,6 +88,7 @@ def cmd_generate(args) -> int:
         if args.genus is None:
             raise ValueError("--genus is required with --sampler genus-filtered")
         budget = 10_000 if args.budget is None else _exact_int(args.budget, "--budget", 1)
+        _exact_int(args.genus, "--genus", 0, args.n // 2)
         gluings = samplers.sample_genus_filtered(
             args.n, args.genus, budget, samplers.RngStream(args.seed, 0), num_samples=args.samples
         ).gluings
@@ -102,6 +103,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    _exact_int(args.n, "--n", 1)
     stream = (
         counting.enumerate_ncpp(args.n) if args.kind == "ncpp" else counting.enumerate_all_gluings(args.n)
     )
@@ -133,7 +135,7 @@ def cmd_spectrum(args) -> int:
 def cmd_density(args) -> int:
     from . import stats
 
-    bins = stats.DEFAULT_BINS if args.bins is None else args.bins
+    bins = stats.DEFAULT_BINS if args.bins is None else _exact_int(args.bins, "--bins", 1)
     hist = stats.empirical_density(_spectra(_read_ensemble(args.ensemble)), bins=bins)
     mckay = stats.mckay_density(hist.bin_centers)
     rows = (tuple(map(_fmt, row)) for row in zip(hist.bin_centers, hist.densities, mckay))
@@ -144,12 +146,13 @@ def cmd_density(args) -> int:
 def cmd_spacings(args) -> int:
     from . import stats
 
+    bins = stats.DEFAULT_BINS if args.bins is None else _exact_int(args.bins, "--bins", 1)
     hist = stats.spacing_distribution(
         _spectra(_read_ensemble(args.ensemble)),
         bulk_fraction=(
             stats.DEFAULT_BULK_FRACTION if args.bulk_fraction is None else args.bulk_fraction
         ),
-        bins=stats.DEFAULT_BINS if args.bins is None else args.bins,
+        bins=bins,
     )
     surmise = stats.goe_surmise_density(hist.bin_centers)
     expo = stats.exponential_density(hist.bin_centers)
@@ -185,7 +188,8 @@ def cmd_degrees(args) -> int:
 
 
 def cmd_walks(args) -> int:
-    # rows first, so that a bad --rmax raises before the output is opened
+    _exact_int(args.rmax, "--rmax", 1)
+    # rows first, so that an --rmax over the cap raises before the output is opened
     rows = [
         (rec.sample_index, *topology.closed_walk_counts(rec.gluing, args.rmax))
         for rec in _read_ensemble(args.ensemble)

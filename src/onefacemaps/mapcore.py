@@ -141,13 +141,20 @@ def _parity_blocks_vanish(a: np.ndarray) -> bool:
 
 
 def _map_matrix(a) -> np.ndarray:
-    """``np.asarray(a)`` if it has the shape of a map matrix, square of even
-    size 2n >= 2, else a ValueError; the one shape rule of the package."""
+    """``np.asarray(a)`` if it can be a map matrix, else a ValueError naming the
+    first fault: square of even size 2n >= 2, with finite entries of a boolean,
+    integer or real floating dtype.  The one map-matrix rule of the package."""
     import numpy as np
 
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0 or a.shape[0] == 0:
         raise ValueError(f"map matrices are square of even size 2n >= 2, got shape {a.shape}")
+    # a float64 cast or a truth test misreads complex, object and string entries
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"matrix entries must be real numbers, got dtype {a.dtype}")
+    # integers are finite; checked before any test that NaN would fail or pass
+    if a.dtype.kind == "f" and not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     return a
 
 

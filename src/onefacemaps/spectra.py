@@ -76,9 +76,9 @@ class Spectrum:
 def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:
     """All eigenvalues of a symmetric map matrix, ascending.
 
-    ``a`` must have the shape of every map matrix, square of even size
-    2n >= 2, the rule ``is_bipartite`` shares, and finite entries of a
-    boolean, integer or real floating dtype.
+    ``a`` must pass the map-matrix rule it shares with ``is_bipartite``
+    (square of even size 2n >= 2, finite entries of a boolean, integer or
+    real floating dtype) and be symmetric, as ``dsyevd('L')`` assumes.
     If both parity blocks ``a[0::2, 0::2]`` and ``a[1::2, 1::2]`` are zero,
     the values are ``-s`` and ``s`` for the singular values ``s`` of
     ``a[0::2, 1::2]`` (LAPACK ``dgesdd``), symmetric about zero by
@@ -91,12 +91,6 @@ def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:
     count, while dense values hold only at a fixed one.
     """
     a = _map_matrix(a)
-    # a complex or object matrix would be cast to float64, losing its values
-    if a.dtype.kind not in "biuf":
-        raise ValueError(f"matrix entries must be real numbers, got dtype {a.dtype}")
-    # integers are finite; checked before symmetry, which NaN would fail
-    if a.dtype.kind == "f" and not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
     bundled = _openblas() is not None  # else np.linalg, on the caller's threads

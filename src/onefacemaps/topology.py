@@ -48,12 +48,11 @@ def is_noncrossing(g: Gluing) -> bool:
 def is_bipartite(a: np.ndarray) -> bool:
     """True iff the graph of a map adjacency matrix admits a 2-coloring.
 
-    ``a`` must have the shape of every map matrix, square of even size
-    2n >= 2, which ``eigenvalues_symmetric`` asks too, and contain the
-    spanning cycle 0-1-...-(2n-1)-0 of every map graph; otherwise
-    ValueError.  That even cycle forces the coloring by label parity, so
-    the graph is bipartite exactly when no entry joins two labels of the
-    same parity: one vectorised O(n^2) scan.
+    ``a`` must pass the map-matrix rule it shares with ``eigenvalues_symmetric``,
+    with the same messages, and contain the spanning cycle 0-1-...-(2n-1)-0
+    of every map graph; otherwise ValueError.  That even cycle forces the coloring by
+    label parity, so the graph is bipartite exactly when no entry joins
+    two labels of the same parity: one vectorised O(n^2) scan.
     """
     import numpy as np
 

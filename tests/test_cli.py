@@ -487,8 +487,12 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
          "record on line 2: bad ensemble record: a record must be a JSON object, got list"),
         (["genus", "{ens}"], _NEGATIVE_SEED, 2,
          "record on line 1: bad ensemble record: need 0 <= seed <= 18446744073709551615, got -5"),
-        (["density", "{ens}", "--bins", 0], _N2, 2, "need bins >= 1, got 0"),
-        (["spacings", "{ens}", "--bins", -5], _N2, 2, "need bins >= 1, got -5"),
+        (["density", "{ens}", "--bins", 0], _N2, 2, "need --bins >= 1, got 0"),
+        (["spacings", "{ens}", "--bins", -5], _N2, 2, "need --bins >= 1, got -5"),
+        (["generate", "--sampler", "genus-filtered", "--n", 50, "--samples", 1, "--genus", 99],
+         None, 2, "need 0 <= --genus <= 25, got 99"),
+        (["walks", "{ens}", "--rmax", 0], _N2, 2, "need --rmax >= 1, got 0"),
+        (["enumerate", "--n", 0], None, 2, "need --n >= 1, got 0"),
         (["generate", "--sampler", "genus-filtered", "--n", 50, "--samples", 1, "--genus", 0,
           "--budget", 50, "--seed", 3], None, 3,
          "found 0 genus-0 maps in 50 draws, wanted 1 maps"),
@@ -496,7 +500,7 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
     ids=["samples0", "n0", "budget0", "seed-negative", "seed-big", "no-genus", "stray-genus",
          "stray-budget", "count", "table", "enumerate", "walks", "spacings", "meanjth-mixed", "empty",
          "wrong-genus", "not-utf8", "not-an-object", "negative-seed", "density-bins0", "spacings-bins-negative",
-         "budget"],
+         "genus99", "rmax0", "enumerate-n0", "budget"],
 )
 def test_error_contract(argv, ensemble, code, err, tmp_path, capsys):
     ens = tmp_path / "ens.jsonl"
@@ -511,8 +515,8 @@ def test_error_contract(argv, ensemble, code, err, tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, err",
     [
-        (["density", "--bins", 0], "need bins >= 1, got 0"),
-        (["spacings", "--bins", 0], "need bins >= 1, got 0"),
+        (["density", "--bins", 0], "need --bins >= 1, got 0"),
+        (["spacings", "--bins", 0], "need --bins >= 1, got 0"),
         (["spacings", "--bulk-fraction", 1.5], "bulk_fraction must lie in (0, 1], got 1.5"),
     ],
     ids=["density-bins0", "spacings-bins0", "spacings-bulk-fraction"],

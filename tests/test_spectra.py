@@ -120,17 +120,26 @@ def test_rejects_the_empty_matrix():
         eigenvalues_symmetric(np.zeros((0, 0), dtype=np.int64))
 
 
+_TWOGON = [[0, 3], [3, 0]]  # the n = 1 map, which passes every check but these
+
+
 @pytest.mark.parametrize(
-    "a",
-    [np.zeros((3, 3), dtype=np.int64), np.zeros((2, 4), dtype=np.int64),
-     np.zeros((0, 0), dtype=np.int64), np.zeros(4, dtype=np.int64),
-     np.zeros((2, 2, 2), dtype=np.int64), [[0, 1, 1], [1, 0, 1]]],
-    ids=["3x3", "2x4", "0x0", "4", "2x2x2", "nested-2x3"],
+    "a, fault",
+    [(np.zeros((3, 3), dtype=np.int64), None), (np.zeros((2, 4), dtype=np.int64), None),
+     (np.zeros((0, 0), dtype=np.int64), None), (np.zeros(4, dtype=np.int64), None),
+     (np.zeros((2, 2, 2), dtype=np.int64), None), ([[0, 1, 1], [1, 0, 1]], None),
+     (np.array(_TWOGON, dtype=complex), "matrix entries must be real numbers, got dtype complex128"),
+     (np.array(_TWOGON, dtype=object), "matrix entries must be real numbers, got dtype object"),
+     ([["0", "3"], ["3", "0"]], "matrix entries must be real numbers, got dtype <U1"),
+     ([[0.0, np.nan], [np.nan, 0.0]], "matrix entries must be finite"),
+     ([[0.0, np.inf], [-np.inf, 0.0]], "matrix entries must be finite")],
+    ids=["3x3", "2x4", "0x0", "4", "2x2x2", "nested-2x3", "complex", "object", "str", "nan", "inf"],
 )
-def test_solve_and_bipartite_test_share_one_shape_rule(a):
-    fault = SHAPE_FAULT + re.escape(str(np.shape(a))) + "$"
+def test_solve_and_bipartite_test_share_one_shape_rule(a, fault):
+    # one fault table for the whole map-matrix rule; None is the shape fault
+    fault = SHAPE_FAULT + re.escape(str(np.shape(a))) if fault is None else "^" + re.escape(fault)
     for check in (eigenvalues_symmetric, is_bipartite):
-        with pytest.raises(ValueError, match=fault):
+        with pytest.raises(ValueError, match=fault + "$"):
             check(a)
 
 

@@ -245,3 +245,29 @@ def test_l1_distance_identical_histogram():
         densities=np.array([0.5, 0.5]),
     )
     assert l1_histogram_distance(h, lambda x: np.full_like(x, 0.5)) == 0.0
+
+
+def test_mean_gap_ratio_meets_poisson_and_goe_references():
+    # seed 0 reads 0.3866 and 0.5296; the margin is about 3.5 standard errors
+    rng = np.random.default_rng(0)
+    poisson = np.mean([brute.mean_gap_ratio(np.sort(rng.random(600))) for _ in range(40)])
+    assert abs(poisson - (2 * math.log(2) - 1)) < 0.01
+    goe = []
+    for _ in range(20):
+        x = rng.standard_normal((400, 400))
+        goe.append(brute.mean_gap_ratio(np.linalg.eigvalsh(x + x.T)))
+    assert abs(np.mean(goe) - 0.5307) < 0.01
+
+
+def test_mean_gap_ratio_orders_map_ensembles():
+    # seed 11 reads 0.427 < 0.458 < 0.531; seeds 11-13 spread by at most 0.007
+    def mean_r(draw, n):
+        return np.mean([
+            brute.mean_gap_ratio(eigenvalues_symmetric(build_adjacency(draw(n, RngStream(11, i)))).values)
+            for i in range(40)
+        ])
+
+    ncpp_300, ncpp_100 = mean_r(sample_ncpp, 300), mean_r(sample_ncpp, 100)
+    uniform_300 = mean_r(sample_uniform_gluing, 300)
+    assert ncpp_300 + 0.02 < ncpp_100
+    assert ncpp_100 + 0.05 < uniform_300
