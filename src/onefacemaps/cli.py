@@ -147,13 +147,10 @@ def cmd_spacings(args) -> int:
     from . import stats
 
     bins = stats.DEFAULT_BINS if args.bins is None else _exact_int(args.bins, "--bins", 1)
-    hist = stats.spacing_distribution(
-        _spectra(_read_ensemble(args.ensemble)),
-        bulk_fraction=(
-            stats.DEFAULT_BULK_FRACTION if args.bulk_fraction is None else args.bulk_fraction
-        ),
-        bins=bins,
+    fraction = stats._bulk_fraction(
+        stats.DEFAULT_BULK_FRACTION if args.bulk_fraction is None else args.bulk_fraction
     )
+    hist = stats.spacing_distribution(_spectra(_read_ensemble(args.ensemble)), fraction, bins)
     surmise = stats.goe_surmise_density(hist.bin_centers)
     expo = stats.exponential_density(hist.bin_centers)
     rows = (tuple(map(_fmt, row)) for row in zip(hist.bin_centers, hist.densities, surmise, expo))
@@ -188,13 +185,12 @@ def cmd_degrees(args) -> int:
 
 
 def cmd_walks(args) -> int:
-    _exact_int(args.rmax, "--rmax", 1)
-    # rows first, so that an --rmax over the cap raises before the output is opened
-    rows = [
-        (rec.sample_index, *topology.closed_walk_counts(rec.gluing, args.rmax))
+    rmax = topology._walk_length(args.rmax, "--rmax")
+    rows = (
+        (rec.sample_index, *topology.closed_walk_counts(rec.gluing, rmax))
         for rec in _read_ensemble(args.ensemble)
-    ]
-    columns = ("sample_index", *(f"w{r}" for r in range(1, args.rmax + 1)))
+    )
+    columns = ("sample_index", *(f"w{r}" for r in range(1, rmax + 1)))
     _write_table(args.out, columns, rows)
     return EXIT_OK
 

@@ -89,9 +89,9 @@ class Gluing:
 
     @functools.cached_property
     def _degrees(self) -> dict[int, int]:
-        # vertex degree -> count: one orbit walk per instance, kept only as
-        # long as it lives, and a few entries beside the 2n shared labels of
-        # its table; topology.genus and topology.degree_distribution read it
+        # vertex degree -> count: one orbit walk per instance, kept only as long
+        # as it lives, a few entries beside the 2n shared labels of its table;
+        # read by topology's genus, is_noncrossing and degree_distribution
         counts: dict[int, int] = {}
         for cycle in vertex_cycles(self):
             counts[len(cycle)] = counts.get(len(cycle), 0) + 1

@@ -119,12 +119,18 @@ def pooled_bulk_spacings(
 ) -> np.ndarray:
     """Consecutive spacings over the central ``bulk_fraction`` of each
     spectrum, scaled per spectrum to mean one, concatenated."""
-    # a bool is an int to isinstance, and True would read as 1.0
-    if isinstance(bulk_fraction, bool) or not isinstance(bulk_fraction, (int, float, np.floating)):
-        raise ValueError(f"bulk_fraction must be a real number, got {bulk_fraction!r}")
-    if not 0.0 < bulk_fraction <= 1.0:
-        raise ValueError(f"bulk_fraction must lie in (0, 1], got {bulk_fraction}")
+    _bulk_fraction(bulk_fraction)
     return np.concatenate([_bulk_spacings(v, bulk_fraction) for v in _ensemble_values(spectra)])
+
+
+def _bulk_fraction(value) -> float:
+    """``value`` if it is a real number in (0, 1], else ValueError."""
+    # a bool is an int to isinstance, and True would read as 1.0
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
+        raise ValueError(f"bulk_fraction must be a real number, got {value!r}")
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"bulk_fraction must lie in (0, 1], got {value}")
+    return value
 
 
 def _bulk_spacings(values: np.ndarray, bulk_fraction: float) -> np.ndarray:

@@ -5,7 +5,8 @@ permutation "step to the next polygon label, then jump across the
 gluing".  With V such orbits, F = 1 face and E = N edges, Euler's formula
 gives genus (N + 1 - V) / 2.  ``mapcore``'s ``vertex_cycles`` walks the
 orbits, and its ``EnsembleRecord`` calls ``genus`` to check its stored
-genus when it is built.
+genus when it is built.  Planarity is genus zero, so ``is_noncrossing``
+is that one walk too, as are the degrees.
 """
 
 from __future__ import annotations
@@ -28,21 +29,17 @@ def genus(g: Gluing) -> int:
     n + 1 - V is always even: the vertex permutation i -> partner(i+1) is
     n transpositions after a 2n-cycle, so its sign (-1)^(2n-V) = (-1)^V
     is (-1)^n (-1)^(2n-1) = (-1)^(n+1).  The orbits are walked once per
-    ``Gluing`` instance, which keeps their degree counts for this and for
-    ``degree_distribution``.
+    ``Gluing`` instance, which keeps their degree counts for this,
+    ``is_noncrossing`` and ``degree_distribution``.
     """
     return (g.n + 1 - sum(g._degrees.values())) // 2
 
 
 def is_noncrossing(g: Gluing) -> bool:
-    """True iff no two glued pairs interleave as a < c < b < d."""
-    stack: list[int] = []
-    for i, p in enumerate(g.partner, start=1):
-        if p > i:
-            stack.append(i)
-        elif not stack or stack.pop() != p:
-            return False
-    return not stack
+    """True iff no two glued pairs interleave as a < c < b < d, which is
+    genus zero: each such gluing closes into a sphere, and there are C_n
+    of each kind (eps_0(n) = C_n).  It reads the orbit walk of ``genus``."""
+    return genus(g) == 0
 
 
 def is_bipartite(a: np.ndarray) -> bool:
@@ -82,14 +79,19 @@ def closed_walk_counts(g: Gluing, r_max: int) -> list[int]:
     in int64, with no matrix product.  Capped at r_max = 20 so the int64
     powers cannot overflow.
     """
-    _exact_int(r_max, "r_max", 1)
-    if r_max > MAX_WALK_LENGTH:
-        raise ValueError(
-            f"r_max = {r_max} exceeds the exact-arithmetic cap {MAX_WALK_LENGTH}"
-        )
+    _walk_length(r_max)
     power = build_adjacency(g).astype("int64")
     walks = [int(power.trace())]
     for _ in range(2, r_max + 1):
         power = _adjacency_times(g, power)
         walks.append(int(power.trace()))
     return walks
+
+
+def _walk_length(r_max, name: str = "r_max") -> int:
+    """``r_max`` if it is an int in 1..MAX_WALK_LENGTH, else ValueError
+    (the lower-bound message prints ``name``)."""
+    _exact_int(r_max, name, 1)
+    if r_max > MAX_WALK_LENGTH:
+        raise ValueError(f"r_max = {r_max} exceeds the exact-arithmetic cap {MAX_WALK_LENGTH}")
+    return r_max

@@ -122,7 +122,12 @@ def test_criterion_04_genus_zero_soundness(n):
         g = sample_ncpp(n, RngStream(4000 + n, i))
         assert genus(g) == 0
         assert is_noncrossing(g)
+        # is_noncrossing reads genus, so both are also checked by oracles
+        # that share nothing with it: the reverse-orientation orbit walk on
+        # every draw, and the quadratic pair scan on the matrix subsample
+        assert brute.genus_reverse(g.partner) == 0
         if i % matrix_stride == 0:
+            assert brute.crossing_free(g.partner)
             a = build_adjacency(g)
             assert is_bipartite(a)
             checked_matrix += 1
@@ -136,7 +141,8 @@ def test_criterion_04_genus_zero_soundness(n):
                 checked_spectra += 1
     print(
         f"\n[criterion 04] PASS n={n}: {draws} draws genus-0 and non-crossing; "
-        f"bipartite on {checked_matrix}, symmetric spectra on {checked_spectra}"
+        f"crossing-free pair scan and bipartite on {checked_matrix}, "
+        f"symmetric spectra on {checked_spectra}"
     )
 
 

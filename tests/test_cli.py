@@ -492,6 +492,10 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
         (["generate", "--sampler", "genus-filtered", "--n", 50, "--samples", 1, "--genus", 99],
          None, 2, "need 0 <= --genus <= 25, got 99"),
         (["walks", "{ens}", "--rmax", 0], _N2, 2, "need --rmax >= 1, got 0"),
+        # the caps too are checked before the file is read, so an empty one cannot mask them
+        (["walks", "{ens}", "--rmax", 21], "", 2, "r_max = 21 exceeds the exact-arithmetic cap 20"),
+        (["spacings", "{ens}", "--bulk-fraction", 1.5], "", 2,
+         "bulk_fraction must lie in (0, 1], got 1.5"),
         (["enumerate", "--n", 0], None, 2, "need --n >= 1, got 0"),
         (["generate", "--sampler", "genus-filtered", "--n", 50, "--samples", 1, "--genus", 0,
           "--budget", 50, "--seed", 3], None, 3,
@@ -500,7 +504,7 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
     ids=["samples0", "n0", "budget0", "seed-negative", "seed-big", "no-genus", "stray-genus",
          "stray-budget", "count", "table", "enumerate", "walks", "spacings", "meanjth-mixed", "empty",
          "wrong-genus", "not-utf8", "not-an-object", "negative-seed", "density-bins0", "spacings-bins-negative",
-         "genus99", "rmax0", "enumerate-n0", "budget"],
+         "genus99", "rmax0", "walks-empty", "spacings-empty", "enumerate-n0", "budget"],
 )
 def test_error_contract(argv, ensemble, code, err, tmp_path, capsys):
     ens = tmp_path / "ens.jsonl"

@@ -84,6 +84,7 @@ def test_ncpp_outputs_are_noncrossing_genus_zero(n):
         assert g.n == n
         assert is_noncrossing(g)
         assert genus(g) == 0
+        assert brute.crossing_free(g.partner)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -137,12 +138,14 @@ def test_enumerate_ncpp_counts():
         assert len(gluings) == expected == brute.catalan(n)
         assert len({g.partner for g in gluings}) == expected
         assert all(is_noncrossing(g) for g in gluings)
+        assert all(brute.crossing_free(g.partner) for g in gluings)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_enumerate_ncpp_equals_filtered_enumeration(n):
     filtered = {g.partner for g in enumerate_all_gluings(n) if is_noncrossing(g)}
     assert {g.partner for g in enumerate_ncpp(n)} == filtered
+    assert filtered == {p for p in brute.all_matchings(n) if brute.crossing_free(p)}
 
 
 def test_enumerate_ncpp_guard():

@@ -83,6 +83,24 @@ def test_noncrossing_matches_quadratic_oracle_and_genus(n):
         assert flag == (genus(g) == 0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_brute_oracles_agree_that_planar_is_noncrossing(n):
+    # two oracles that share no code with the package or with each other:
+    # the quadratic pair scan and the reverse-orientation genus
+    for partner in brute.all_matchings(n):
+        assert brute.crossing_free(partner) == (brute.genus_reverse(partner) == 0)
+
+
+def test_noncrossing_matches_quadratic_oracle_on_draws():
+    # uniform draws at n = 4 and 5, non-crossing with odds C_n/(2n-1)!!
+    # = 14/105 and 42/945, at n = 50, all crossing, and ncpp draws
+    draws = [sample_uniform_gluing(n, RngStream(23, i)) for n in (4, 5, 50) for i in range(200)]
+    draws += [sample_ncpp(n, RngStream(29, i)) for n in (10, 200) for i in range(20)]
+    flags = [is_noncrossing(g) for g in draws]
+    assert flags == [brute.crossing_free(g.partner) for g in draws]
+    assert 0 < sum(flags[:400]) < 400 and flags[-40:] == [True] * 40
+
+
 def test_is_bipartite_examples():
     assert not is_bipartite(build_adjacency(TORUS))  # K4 has odd cycles
     assert is_bipartite(build_adjacency(PATH2))
