@@ -89,6 +89,9 @@ def cmd_generate(args) -> int:
             raise ValueError("--genus is required with --sampler genus-filtered")
         budget = 10_000 if args.budget is None else _exact_int(args.budget, "--budget", 1)
         _exact_int(args.genus, "--genus", 0, args.n // 2)
+        if budget < args.samples:
+            raise BudgetExhaustedError(f"--budget {budget} cannot keep --samples {args.samples} "
+                                       "maps: a draw keeps at most one map", gluings=(), attempts=0)
         gluings = samplers.sample_genus_filtered(
             args.n, args.genus, budget, samplers.RngStream(args.seed, 0), num_samples=args.samples
         ).gluings

@@ -7,13 +7,14 @@ per glued pair, so every vertex has degree exactly three and the adjacency
 matrix splits into a cycle part and a permuted perfect matching.
 
 Labels are 1-based in the public names of this module and in serialized
-records.  Three rules live here only: the standard matching 2k-1 <-> 2k,
+records.  Four rules live here only: the standard matching 2k-1 <-> 2k,
 which ``_conjugate`` conjugates by random permutations to make gluings;
 the vertex orbits i -> partner(i+1), walked by ``vertex_cycles`` and
-counted for a batch by ``_orbit_counts``; and the adjacency product
+counted for a batch by ``_orbit_counts``; Euler's formula ``_genus``,
+which turns either count into genera; and the adjacency product
 ``_adjacency_times``, of which ``build_adjacency`` is the identity's
 image.  The kernels work on 0-based numpy arrays; numpy is imported only
-by the functions that use arrays.
+by the functions that use arrays, and no module of the package anywhere.
 """
 
 from __future__ import annotations
@@ -88,14 +89,14 @@ class Gluing:
     __reduce__ = _rebuild
 
     @functools.cached_property
-    def _degrees(self) -> dict[int, int]:
-        # vertex degree -> count: one orbit walk per instance, kept only as long
-        # as it lives, a few entries beside the 2n shared labels of its table;
-        # read by topology's genus, is_noncrossing and degree_distribution
+    def _walk(self) -> tuple[int, dict[int, int]]:
+        # (genus, vertex degree -> count): one orbit walk per instance, kept only as
+        # long as it lives, beside the 2n shared labels of its table; read by the
+        # genus check of EnsembleRecord and by topology's genus and degrees
         counts: dict[int, int] = {}
         for cycle in vertex_cycles(self):
             counts[len(cycle)] = counts.get(len(cycle), 0) + 1
-        return counts
+        return _genus(self.n, sum(counts.values())), counts
 
 
 def _exact_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
@@ -181,6 +182,14 @@ def vertex_cycles(g: Gluing) -> list[tuple[int, ...]]:
     return cycles
 
 
+def _genus(n, vertices):
+    """Genus of a one-face map with ``n`` edges and ``vertices`` vertices, ints or
+    numpy arrays alike: Euler's V - n + 1 = 2 - 2g solved for g, whose numerator is
+    always even: the vertex permutation i -> partner(i+1) is n transpositions after
+    a 2n-cycle, so its sign (-1)^(2n-V) = (-1)^V is (-1)^n (-1)^(2n-1) = (-1)^(n+1)."""
+    return (n + 1 - vertices) // 2
+
+
 def _orbit_counts(mates: np.ndarray) -> np.ndarray:
     """Number of orbits of i -> mate(i+1 mod 2n) in each row of ``mates``.
 
@@ -256,9 +265,7 @@ class EnsembleRecord:
         _exact_int(self.genus, "genus")
         _exact_int(self.seed, "seed", 0, _SEED_MAX)
         _exact_int(self.sample_index, "sample_index", 0)
-        from . import topology  # imports this module, so it cannot be imported at its top
-
-        actual = topology.genus(self.gluing)
+        actual = self.gluing._walk[0]
         if self.genus != actual:
             raise ValueError(f"genus is {self.genus}, its gluing has genus {actual}")
 
@@ -291,7 +298,7 @@ def _parse_record(line: bytes, line_no: int) -> EnsembleRecord:
         partner = obj["partner"]
         if not isinstance(partner, list):
             raise ValueError(f"partner must be a JSON list, got {json.dumps(partner)}")
-        n = _exact_int(obj["n"], "n")
+        n = _exact_int(obj["n"], "n", 1)
         # the one place where a size arrives beside its table
         if len(partner) != 2 * n:
             raise ValueError(f"partner table must have length 2n = {2 * n}, got {len(partner)}")
@@ -321,7 +328,7 @@ def read_records(path) -> list[EnsembleRecord]:
     """Read the JSON-lines ensemble file at ``path``.
 
     Each line must be UTF-8 text holding a JSON object whose ``partner``
-    is a list and whose ``n`` is an integer equal to half its length;
+    is a list and whose ``n`` is an int, at least 1, equal to half its length;
     ``Gluing`` and ``EnsembleRecord`` check the rest: the labels, the other
     fields, which must be integers too, and the stored genus.  Blank lines
     are skipped.  Raises ValueError naming the line of the first record

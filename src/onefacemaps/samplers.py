@@ -3,16 +3,16 @@
 Uniform gluings are drawn by pushing uniform random permutations through
 ``mapcore``'s conjugation kernel (every matching has 2^n n! permutation
 preimages, so the pushforward is uniform): one draw and a batch of
-rejection draws go through the same kernel, and rejection counts the
-vertices of a batch with ``mapcore``'s orbit kernel; the standard
-matching and the orbit rule are written only there.  Non-crossing
-gluings come from the cycle lemma (Dvoretzky and Motzkin, Duke Math. J.
-14, 1947): of the 2n+1 rotations of a sequence of n up-steps and n+1
-down-steps exactly one stays at or above its start until its final step,
-so rotating a uniform arrangement gives a uniform Dyck path, whose
-matched steps are a uniform non-crossing pairing.  Both use integers
-only; every non-crossing pairing comes out with probability exactly
-1/C_n.
+rejection draws go through the same kernel, and rejection takes the
+genera of a batch from ``mapcore``'s orbit kernel and Euler rule; the
+standard matching, the orbit rule and Euler's formula are written only
+there.  Non-crossing gluings come from the cycle lemma (Dvoretzky and
+Motzkin, Duke Math. J. 14, 1947): of the 2n+1 rotations of a sequence of
+n up-steps and n+1 down-steps exactly one stays at or above its start
+until its final step, so rotating a uniform arrangement gives a uniform
+Dyck path, whose matched steps are a uniform non-crossing pairing.  Both
+use integers only; every non-crossing pairing comes out with probability
+exactly 1/C_n.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExhaustedError
-from .mapcore import _SEED_MAX, Gluing, _conjugate, _exact_int, _orbit_counts, _rebuild
+from .mapcore import _SEED_MAX, Gluing, _conjugate, _exact_int, _genus, _orbit_counts, _rebuild
 
 # labels (draws x 2n) whose orbits one batch of genus filtering counts at once
 _FILTER_BATCH_LABELS = 1 << 16
@@ -163,7 +163,6 @@ def sample_genus_filtered(
     _exact_int(num_samples, "num_samples", 1)
     gen = _as_generator(rng)
     two_n = 2 * n
-    vertices = n + 1 - 2 * target_genus  # Euler's formula for one face
     kept: list[Gluing] = []
     attempts = 0
     while attempts < max_attempts:
@@ -171,7 +170,7 @@ def sample_genus_filtered(
         size = min(max(1, _FILTER_BATCH_LABELS // two_n), max_attempts - attempts,
                    num_samples - len(kept))
         mates = _conjugate(np.stack([gen.permutation(two_n) for _ in range(size)]))
-        for i in np.flatnonzero(_orbit_counts(mates) == vertices).tolist():
+        for i in np.flatnonzero(_genus(n, _orbit_counts(mates)) == target_genus).tolist():
             kept.append(_gluing(mates[i]))
             if len(kept) == num_samples:
                 return FilteredSample(gluings=tuple(kept), attempts=attempts + i + 1)

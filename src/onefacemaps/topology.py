@@ -2,11 +2,9 @@
 
 The glued surface's embedded graph has one vertex per orbit of the
 permutation "step to the next polygon label, then jump across the
-gluing".  With V such orbits, F = 1 face and E = N edges, Euler's formula
-gives genus (N + 1 - V) / 2.  ``mapcore``'s ``vertex_cycles`` walks the
-orbits, and its ``EnsembleRecord`` calls ``genus`` to check its stored
-genus when it is built.  Planarity is genus zero, so ``is_noncrossing``
-is that one walk too, as are the degrees.
+gluing", and one face.  ``mapcore`` walks the orbits once per ``Gluing``, and
+its Euler rule turns their number into the genus that ``EnsembleRecord`` checks;
+``genus``, ``is_noncrossing`` (genus zero) and the degrees read that one walk.
 """
 
 from __future__ import annotations
@@ -24,15 +22,10 @@ MAX_WALK_LENGTH = 20
 
 
 def genus(g: Gluing) -> int:
-    """Genus of the glued surface: (n + 1 - V) / 2 with V map vertices.
-
-    n + 1 - V is always even: the vertex permutation i -> partner(i+1) is
-    n transpositions after a 2n-cycle, so its sign (-1)^(2n-V) = (-1)^V
-    is (-1)^n (-1)^(2n-1) = (-1)^(n+1).  The orbits are walked once per
-    ``Gluing`` instance, which keeps their degree counts for this,
-    ``is_noncrossing`` and ``degree_distribution``.
-    """
-    return (g.n + 1 - sum(g._degrees.values())) // 2
+    """Genus of the glued surface, from its vertices by Euler's formula for
+    one face.  The orbits are walked once per ``Gluing`` instance, which keeps
+    the genus and degrees for this, ``is_noncrossing`` and ``degree_distribution``."""
+    return g._walk[0]
 
 
 def is_noncrossing(g: Gluing) -> bool:
@@ -69,7 +62,7 @@ def degree_distribution(g: Gluing) -> dict[int, int]:
     vertices, the vertices of the embedded plane tree.  Each call returns a
     new dict, in ascending degree.
     """
-    return dict(sorted(g._degrees.items()))
+    return dict(sorted(g._walk[1].items()))
 
 
 def closed_walk_counts(g: Gluing, r_max: int) -> list[int]:

@@ -416,6 +416,16 @@ def test_integer_and_record_commands_run_without_numpy(tmp_path):
     assert outputs["nc5"].count(b"\n") == 42
 
 
+def test_reading_records_imports_no_other_module_of_the_package(tmp_path):
+    ens = tmp_path / "torus.jsonl"
+    ens.write_text(_RECORD.format(n=2, partner=[3, 4, 1, 2], genus=1))
+    code = ("import sys, onefacemaps.mapcore as m; print(m.read_records(sys.argv[1])[0].genus, "
+            "sorted(k for k in sys.modules if k.startswith('onefacemaps')))")
+    with _fresh_interpreter("-c", code, str(ens), stdout=subprocess.PIPE) as proc:
+        out, _ = proc.communicate(timeout=120)
+    assert out == b"1 ['onefacemaps', 'onefacemaps.mapcore']\n"
+
+
 def test_package_surface_loads_lazily():
     for module in ("onefacemaps.cli", "onefacemaps.counting"):
         with _fresh_interpreter("-c", f"import sys, {module}; print('numpy' in sys.modules)",
@@ -500,11 +510,15 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
         (["generate", "--sampler", "genus-filtered", "--n", 50, "--samples", 1, "--genus", 0,
           "--budget", 50, "--seed", 3], None, 3,
          "found 0 genus-0 maps in 50 draws, wanted 1 maps"),
+        # each draw keeps at most one map, so this is refused before the first draw
+        (["generate", "--sampler", "genus-filtered", "--n", 4, "--samples", 10_001, "--genus", 1],
+         None, 3, "--budget 10000 cannot keep --samples 10001 maps: a draw keeps at most one map"),
     ],
     ids=["samples0", "n0", "budget0", "seed-negative", "seed-big", "no-genus", "stray-genus",
          "stray-budget", "count", "table", "enumerate", "walks", "spacings", "meanjth-mixed", "empty",
          "wrong-genus", "not-utf8", "not-an-object", "negative-seed", "density-bins0", "spacings-bins-negative",
-         "genus99", "rmax0", "walks-empty", "spacings-empty", "enumerate-n0", "budget"],
+         "genus99", "rmax0", "walks-empty", "spacings-empty", "enumerate-n0", "budget",
+         "budget-below-samples"],
 )
 def test_error_contract(argv, ensemble, code, err, tmp_path, capsys):
     ens = tmp_path / "ens.jsonl"

@@ -238,12 +238,12 @@ _ROUND_TRIPS = pytest.mark.parametrize(
 @_ROUND_TRIPS
 def test_gluing_round_trip_shares_labels_and_drops_the_cached_walk(round_trip):
     g = sample_uniform_gluing(300, RngStream(9, 2))
-    genus(g)  # fills the cached degree walk
-    assert "_degrees" in vars(g)
+    genus(g)  # fills the cached walk
+    assert "_walk" in vars(g)
     back = round_trip(g)
     assert back == g
     assert all(a is b for a, b in zip(back.partner, g.partner))
-    assert "_degrees" not in vars(back)
+    assert "_walk" not in vars(back)
 
 
 @_ROUND_TRIPS
@@ -544,7 +544,10 @@ def test_declared_size_mismatch_rejected(tmp_path):
     path = tmp_path / "ens.jsonl"
     for n in (3, 1, 0, -2):
         _write_lines(path, GOOD_RECORD, {**GOOD_RECORD, "n": n})
-        fault = f"line 2: bad ensemble record: partner table must have length 2n = {2 * n}, got 4"
+        # n is a count, checked before it is compared with the table
+        fault = (f"partner table must have length 2n = {2 * n}, got 4" if n >= 1
+                 else f"need n >= 1, got {n}")
+        fault = f"line 2: bad ensemble record: {fault}"
         with pytest.raises(ValueError, match=fault):
             read_records(path)
 
@@ -613,8 +616,11 @@ def test_read_records_rejects_fields_that_are_not_json_integers(tmp_path, field,
         ('"2143"', "a record must be a JSON object, got str"),
         ('{"n": 2, "partner": [2, 1, 4, 3], "genus": 0, "seed": 7}', "missing key 'sample_index'"),
         ('{"n": 2, "genus": 0, "seed": 7, "sample_index": 0}', "missing key 'partner'"),
+        ('{"n": 0, "partner": [], "genus": 0, "seed": 7, "sample_index": 0}', "need n >= 1, got 0"),
+        ('{"n": -1, "partner": [], "genus": 0, "seed": 7, "sample_index": 0}',
+         "need n >= 1, got -1"),
     ],
-    ids=["list", "null", "string", "no-sample-index", "no-partner"],
+    ids=["list", "null", "string", "no-sample-index", "no-partner", "n-0", "n-minus-1"],
 )
 def test_read_records_rejects_lines_that_are_not_records(tmp_path, line, fault):
     path = tmp_path / "ens.jsonl"

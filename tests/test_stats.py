@@ -108,6 +108,13 @@ def test_empirical_density_empty():
         empirical_density([])
 
 
+def test_empirical_density_with_no_value_in_its_support():
+    # just past the round-off snap at either edge, so nothing is counted
+    outside = _ladder([-5.0, -3.0 - 2e-9, 3.0 + 2e-9, 7.5])
+    with pytest.raises(ValueError, match=r"^no values fall inside the histogram support$"):
+        empirical_density([outside, outside], bins=10)
+
+
 def test_genus_zero_density_is_even_within_counting_noise():
     gen = RngStream(53).generator()
     spectra = [

@@ -5,6 +5,7 @@ import pytest
 
 import brute
 from onefacemaps import (
+    EnsembleRecord,
     RngStream,
     build_adjacency,
     closed_walk_counts,
@@ -171,7 +172,13 @@ def test_genus_and_degrees_share_one_walk(monkeypatch):
     assert list(dist.items()) == [(1, 1), (5, 1)]  # ascending, though the walk meets 5 first
     dist[1] = 99  # a copy: the next call is not changed
     assert degree_distribution(g) == {1: 1, 5: 1} and genus(g) == 1
+    assert EnsembleRecord(gluing=g, genus=1, seed=0, sample_index=0).genus == 1
     assert walks == [g]
+    # a record built first walks its gluing once, and genus and degrees reuse that walk
+    h = brute.gluing([3, 4, 1, 2, 6, 5])
+    EnsembleRecord(gluing=h, genus=1, seed=0, sample_index=0)
+    assert genus(h) == 1 and degree_distribution(h) == {1: 1, 5: 1}
+    assert walks == [g, h]
 
 
 def test_genus_zero_maps_have_tree_vertex_count():
