@@ -106,10 +106,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    _exact_int(args.n, "--n", 1)
-    stream = (
-        counting.enumerate_ncpp(args.n) if args.kind == "ncpp" else counting.enumerate_all_gluings(args.n)
-    )
+    ncpp = args.kind == "ncpp"
+    _exact_int(args.n, "--n", 1, counting.ENUMERATE_NCPP_MAX if ncpp else counting.ENUMERATE_ALL_MAX)
+    stream = counting.enumerate_ncpp(args.n) if ncpp else counting.enumerate_all_gluings(args.n)
     _write_ensemble(args.out, stream, 0)
     return EXIT_OK
 
@@ -188,7 +187,7 @@ def cmd_degrees(args) -> int:
 
 
 def cmd_walks(args) -> int:
-    rmax = topology._walk_length(args.rmax, "--rmax")
+    rmax = _exact_int(args.rmax, "--rmax", 1, topology.MAX_WALK_LENGTH)
     rows = (
         (rec.sample_index, *topology.closed_walk_counts(rec.gluing, rmax))
         for rec in _read_ensemble(args.ensemble)

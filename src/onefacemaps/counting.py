@@ -64,11 +64,9 @@ def genus_distribution(n: int) -> list[int]:
 def enumerate_all_gluings(n: int) -> Iterator[Gluing]:
     """All (2n-1)!! gluings, each exactly once, in deterministic order.
 
-    ``n`` is checked when the function is called, before the first item.
+    ``n`` must lie in 1..ENUMERATE_ALL_MAX; it is checked at the call, before the first item.
     """
-    _exact_int(n, "n", 1)
-    if n > ENUMERATE_ALL_MAX:
-        raise ValueError(f"exhaustive enumeration capped at n = {ENUMERATE_ALL_MAX}")
+    _exact_int(n, "n", 1, ENUMERATE_ALL_MAX)
     partner = [0] * (2 * n)
 
     def fill() -> Iterator[None]:
@@ -91,11 +89,9 @@ def enumerate_all_gluings(n: int) -> Iterator[Gluing]:
 def enumerate_ncpp(n: int) -> Iterator[Gluing]:
     """All C_n non-crossing gluings, each exactly once, deterministic order.
 
-    ``n`` is checked when the function is called, before the first item.
+    ``n`` must lie in 1..ENUMERATE_NCPP_MAX; it is checked at the call, before the first item.
     """
-    _exact_int(n, "n", 1)
-    if n > ENUMERATE_NCPP_MAX:
-        raise ValueError(f"non-crossing enumeration capped at n = {ENUMERATE_NCPP_MAX}")
+    _exact_int(n, "n", 1, ENUMERATE_NCPP_MAX)
     partner = [0] * (2 * n)
 
     def fill(first: int, k: int) -> Iterator[None]:

@@ -138,6 +138,8 @@ def _bulk_spacings(values: np.ndarray, bulk_fraction: float) -> np.ndarray:
         raise ValueError("need at least 4 eigenvalues to take bulk spacings")
     drop = int(np.floor(values.size * (1.0 - bulk_fraction) / 2.0))
     bulk = values[drop : values.size - drop]
+    if bulk.size < 2:
+        raise ValueError(f"bulk window keeps {bulk.size} of {values.size} values, need at least 2")
     diffs = np.diff(bulk)
     mean = diffs.mean()
     if mean <= 0.0:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .mapcore import Gluing, _adjacency_times, _exact_int, _map_matrix, _parity_blocks_vanish
-from .mapcore import build_adjacency
 
 if TYPE_CHECKING:
     import numpy as np
@@ -69,22 +68,15 @@ def closed_walk_counts(g: Gluing, r_max: int) -> list[int]:
     """Exact numbers of closed walks of lengths 1..r_max: trace(A^r).
 
     Each power is the one before stepped by ``mapcore``'s adjacency rule,
-    in int64, with no matrix product.  Capped at r_max = 20 so the int64
-    powers cannot overflow.
+    from the int64 identity, with no matrix product.  ``r_max`` must lie in
+    1..MAX_WALK_LENGTH, so the int64 powers cannot overflow.
     """
-    _walk_length(r_max)
-    power = build_adjacency(g).astype("int64")
-    walks = [int(power.trace())]
-    for _ in range(2, r_max + 1):
+    import numpy as np
+
+    _exact_int(r_max, "r_max", 1, MAX_WALK_LENGTH)
+    power = np.eye(2 * g.n, dtype=np.int64)
+    walks = []
+    for _ in range(r_max):
         power = _adjacency_times(g, power)
         walks.append(int(power.trace()))
     return walks
-
-
-def _walk_length(r_max, name: str = "r_max") -> int:
-    """``r_max`` if it is an int in 1..MAX_WALK_LENGTH, else ValueError
-    (the lower-bound message prints ``name``)."""
-    _exact_int(r_max, name, 1)
-    if r_max > MAX_WALK_LENGTH:
-        raise ValueError(f"r_max = {r_max} exceeds the exact-arithmetic cap {MAX_WALK_LENGTH}")
-    return r_max

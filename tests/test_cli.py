@@ -481,9 +481,8 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
          "--budget only applies to --sampler genus-filtered"),
         (["count", 3, 4], None, 2, "need 0 <= g <= 2, got 3"),
         (["table", 0], None, 2, "need n >= 1, got 0"),
-        (["enumerate", "--n", 9], None, 2, "exhaustive enumeration capped at n = 8"),
-        (["walks", "{ens}", "--rmax", 21], _N2, 2,
-         "r_max = 21 exceeds the exact-arithmetic cap 20"),
+        (["enumerate", "--n", 9], None, 2, "need 1 <= --n <= 8, got 9"),
+        (["walks", "{ens}", "--rmax", 21], _N2, 2, "need 1 <= --rmax <= 20, got 21"),
         (["spacings", "{ens}", "--bulk-fraction", 1.5], _N2, 2,
          "bulk_fraction must lie in (0, 1], got 1.5"),
         (["meanjth", "{ens}"], _N2 + _N3, 2, "spectra of mixed lengths: [4, 6]"),
@@ -501,12 +500,13 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
         (["spacings", "{ens}", "--bins", -5], _N2, 2, "need --bins >= 1, got -5"),
         (["generate", "--sampler", "genus-filtered", "--n", 50, "--samples", 1, "--genus", 99],
          None, 2, "need 0 <= --genus <= 25, got 99"),
-        (["walks", "{ens}", "--rmax", 0], _N2, 2, "need --rmax >= 1, got 0"),
+        (["walks", "{ens}", "--rmax", 0], _N2, 2, "need 1 <= --rmax <= 20, got 0"),
         # the caps too are checked before the file is read, so an empty one cannot mask them
-        (["walks", "{ens}", "--rmax", 21], "", 2, "r_max = 21 exceeds the exact-arithmetic cap 20"),
+        (["walks", "{ens}", "--rmax", 21], "", 2, "need 1 <= --rmax <= 20, got 21"),
         (["spacings", "{ens}", "--bulk-fraction", 1.5], "", 2,
          "bulk_fraction must lie in (0, 1], got 1.5"),
-        (["enumerate", "--n", 0], None, 2, "need --n >= 1, got 0"),
+        (["enumerate", "--n", 0], None, 2, "need 1 <= --n <= 8, got 0"),
+        (["enumerate", "--kind", "ncpp", "--n", 15], None, 2, "need 1 <= --n <= 14, got 15"),
         (["generate", "--sampler", "genus-filtered", "--n", 50, "--samples", 1, "--genus", 0,
           "--budget", 50, "--seed", 3], None, 3,
          "found 0 genus-0 maps in 50 draws, wanted 1 maps"),
@@ -517,8 +517,8 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
     ids=["samples0", "n0", "budget0", "seed-negative", "seed-big", "no-genus", "stray-genus",
          "stray-budget", "count", "table", "enumerate", "walks", "spacings", "meanjth-mixed", "empty",
          "wrong-genus", "not-utf8", "not-an-object", "negative-seed", "density-bins0", "spacings-bins-negative",
-         "genus99", "rmax0", "walks-empty", "spacings-empty", "enumerate-n0", "budget",
-         "budget-below-samples"],
+         "genus99", "rmax0", "walks-empty", "spacings-empty", "enumerate-n0", "enumerate-ncpp-n15",
+         "budget", "budget-below-samples"],
 )
 def test_error_contract(argv, ensemble, code, err, tmp_path, capsys):
     ens = tmp_path / "ens.jsonl"

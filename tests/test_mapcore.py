@@ -172,8 +172,8 @@ _SEEDS = "0 <= {} <= 18446744073709551615"
         (lambda: harer_zagier(-1, 4), "need 0 <= g <= 2, got -1"),
         (lambda: harer_zagier(3, 4), "need 0 <= g <= 2, got 3"),
         (lambda: genus_distribution(0), "need n >= 1, got 0"),
-        (lambda: enumerate_all_gluings(0), "need n >= 1, got 0"),
-        (lambda: enumerate_ncpp(0), "need n >= 1, got 0"),
+        (lambda: enumerate_all_gluings(0), "need 1 <= n <= 8, got 0"),
+        (lambda: enumerate_ncpp(0), "need 1 <= n <= 14, got 0"),
         (lambda: sample_uniform_gluing(0, RngStream(0)), "need n >= 1, got 0"),
         (lambda: sample_ncpp(0, RngStream(0)), "need n >= 1, got 0"),
         (lambda: sample_genus_filtered(0, 0, 10, RngStream(0), num_samples=1),
@@ -189,7 +189,8 @@ _SEEDS = "0 <= {} <= 18446744073709551615"
         (lambda: RngStream(-1), f"need {_SEEDS.format('master_seed')}, got -1"),
         (lambda: RngStream(2**64), f"need {_SEEDS.format('master_seed')}, got {2**64}"),
         (lambda: RngStream(0, -1), "need stream_index >= 0, got -1"),
-        (lambda: closed_walk_counts(brute.gluing([2, 1]), 0), "need r_max >= 1, got 0"),
+        (lambda: closed_walk_counts(brute.gluing([2, 1]), 0), "need 1 <= r_max <= 20, got 0"),
+        (lambda: closed_walk_counts(brute.gluing([2, 1]), 21), "need 1 <= r_max <= 20, got 21"),
         (lambda: empirical_density([], bins=0), "need bins >= 1, got 0"),
         (lambda: spacing_distribution([], bins=0), "need bins >= 1, got 0"),
         (lambda: _generate("--n", 4, "--samples", 0), "need --samples >= 1, got 0"),
@@ -206,8 +207,8 @@ _SEEDS = "0 <= {} <= 18446744073709551615"
     ],
     ids=["count-n", "count-g-low", "count-g-high", "table-n", "enum-all-n", "enum-ncpp-n",
          "uniform-n", "ncpp-n", "filtered-n", "target-low", "target-high", "attempts",
-         "num-samples", "seed-low", "seed-high", "index", "walks-rmax", "density-bins",
-         "spacings-bins", "cli-samples", "cli-n", "cli-budget", "cli-seed-low", "cli-seed-high",
+         "num-samples", "seed-low", "seed-high", "index", "walks-rmax", "walks-rmax-high",
+         "density-bins", "spacings-bins", "cli-samples", "cli-n", "cli-budget", "cli-seed-low", "cli-seed-high",
          "record-seed-low", "record-seed-high", "record-index"],
 )
 def test_integer_parameters_out_of_range_rejected(call, fault):

@@ -169,6 +169,18 @@ def test_bulk_spacings_degenerate():
         pooled_bulk_spacings([_ladder([0, 1, 2, 3])], 0.0)
 
 
+def test_bulk_window_of_one_value_refused():
+    # five values and a small fraction keep the middle one, which has no spacing;
+    # beside a good spectrum it is not dropped, and alone it is not a histogram fault
+    odd = _ladder([-3, -1, 0, 1, 3])
+    fault = "^bulk window keeps 1 of 5 values, need at least 2$"
+    for spectra in ([odd], [_ladder([0, 1, 2, 3]), odd]):
+        with pytest.raises(ValueError, match=fault):
+            pooled_bulk_spacings(spectra, 0.01)
+    with pytest.raises(ValueError, match=fault):
+        spacing_distribution([odd], bulk_fraction=0.01)
+
+
 @pytest.mark.parametrize(
     "value, fault",
     [

@@ -222,9 +222,9 @@ def test_first_walk_count_is_zero_and_w2_is_six_n():
 
 
 def test_walk_length_caps():
-    with pytest.raises(ValueError, match="need r_max >= 1"):
+    with pytest.raises(ValueError, match=r"^need 1 <= r_max <= 20, got 0$"):
         closed_walk_counts(PATH2, 0)
-    with pytest.raises(ValueError, match="r_max = 21 exceeds the exact-arithmetic cap 20"):
+    with pytest.raises(ValueError, match=r"^need 1 <= r_max <= 20, got 21$"):
         closed_walk_counts(PATH2, 21)
 
 
