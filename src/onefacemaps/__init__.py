@@ -49,7 +49,6 @@ _SOURCE = {
     "sample_ncpp": "samplers",
     "sample_uniform_gluing": "samplers",
     "spacing_distribution": "stats",
-    "vertex_cycles": "mapcore",
     "write_records": "mapcore",
 }
 

@@ -150,7 +150,8 @@ def cmd_spacings(args) -> int:
 
     bins = stats.DEFAULT_BINS if args.bins is None else _exact_int(args.bins, "--bins", 1)
     fraction = stats._bulk_fraction(
-        stats.DEFAULT_BULK_FRACTION if args.bulk_fraction is None else args.bulk_fraction
+        stats.DEFAULT_BULK_FRACTION if args.bulk_fraction is None else args.bulk_fraction,
+        "--bulk-fraction",
     )
     hist = stats.spacing_distribution(_spectra(_read_ensemble(args.ensemble)), fraction, bins)
     surmise = stats.goe_surmise_density(hist.bin_centers)

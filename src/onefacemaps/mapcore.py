@@ -9,8 +9,8 @@ matrix splits into a cycle part and a permuted perfect matching.
 Labels are 1-based in the public names of this module and in serialized
 records.  Four rules live here only: the standard matching 2k-1 <-> 2k,
 which ``_conjugate`` conjugates by random permutations to make gluings;
-the vertex orbits i -> partner(i+1), walked by ``vertex_cycles`` and
-counted for a batch by ``_orbit_counts``; Euler's formula ``_genus``,
+the vertex orbits i -> partner(i+1), walked on one raw table by ``_vertices``
+and counted for a batch by ``_orbit_counts``; Euler's formula ``_genus``,
 which turns either count into genera; and the adjacency product
 ``_adjacency_times``, of which ``build_adjacency`` is the identity's
 image.  The kernels work on 0-based numpy arrays; numpy is imported only
@@ -94,8 +94,8 @@ class Gluing:
         # long as it lives, beside the 2n shared labels of its table; read by the
         # genus check of EnsembleRecord and by topology's genus and degrees
         counts: dict[int, int] = {}
-        for cycle in vertex_cycles(self):
-            counts[len(cycle)] = counts.get(len(cycle), 0) + 1
+        for _, degree in _vertices(self.partner):
+            counts[degree] = counts.get(degree, 0) + 1
         return _genus(self.n, sum(counts.values())), counts
 
 
@@ -159,27 +159,20 @@ def _map_matrix(a) -> np.ndarray:
     return a
 
 
-def vertex_cycles(g: Gluing) -> list[tuple[int, ...]]:
-    """Orbits of i -> partner(i+1 mod 2n); each orbit is one map vertex.
-
-    Cycles are reported in order of their smallest label, each starting at
-    that label.
-    """
-    partner = g.partner
+def _vertices(partner: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(least label, degree) of each orbit of i -> partner(i+1 mod 2n), that is of
+    each map vertex, in order of least label, for any 1-based ``partner`` tuple."""
     # step[i] = partner(i+1 mod 2n), set to 0 once i is on a walked cycle;
     # the loop reads each entry after the walks before it, so it skips those
     step = [0, *partner[1:], partner[0]]
-    cycles = []
+    vertices = []
     for start, i in enumerate(step):
-        if not i:
-            continue
-        step[start] = 0
-        cycle = [start]
-        while i != start:
-            cycle.append(i)
-            step[i], i = 0, step[i]
-        cycles.append(tuple(cycle))
-    return cycles
+        if i:
+            step[start], degree = 0, 1
+            while i != start:
+                step[i], i, degree = 0, step[i], degree + 1
+            vertices.append((start, degree))
+    return vertices
 
 
 def _genus(n, vertices):
@@ -194,11 +187,11 @@ def _orbit_counts(mates: np.ndarray) -> np.ndarray:
     """Number of orbits of i -> mate(i+1 mod 2n) in each row of ``mates``.
 
     Each row is a 0-based partner table, and its orbits are the map's
-    vertices, as in ``vertex_cycles``.  Pointer doubling over the flat
-    labels of the whole batch: after k rounds ``low[i]`` is the least of
-    the first 2^k labels on the orbit of i, so once 2^k reaches 2n it is
-    the orbit's least label, and each orbit has exactly one label i with
-    ``low[i] == i``.
+    vertices, which ``_vertices`` walks one table at a time.  Pointer
+    doubling over the flat labels of the whole batch: after k rounds
+    ``low[i]`` is the least of the first 2^k labels on the orbit of i, so
+    once 2^k reaches 2n it is the orbit's least label, and each orbit has
+    exactly one label i with ``low[i] == i``.
     """
     import numpy as np
 
@@ -308,7 +301,8 @@ def _parse_record(line: bytes, line_no: int) -> EnsembleRecord:
             seed=obj["seed"],
             sample_index=obj["sample_index"],
         )
-    except (KeyError, ValueError) as exc:
+    # json.loads raises RecursionError on a line nested too deeply to decode
+    except (KeyError, ValueError, RecursionError) as exc:
         fault = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"record on line {line_no}: bad ensemble record: {fault}") from exc
 

@@ -104,7 +104,7 @@ def sample_ncpp(n: int, rng) -> Gluing:
 def _glue(partner: tuple[int, ...], least_labels) -> tuple[int, ...]:
     """Chapuy's gluing (Adv. Appl. Math. 47, 2011) of k = 2p+1 map vertices
     into one, on a 1-based partner table and the least labels of those
-    vertices, the first entries of their ``vertex_cycles``.
+    vertices, as ``mapcore._vertices`` reads them off the same raw table.
 
     With a_1 < ... < a_k those labels and tau = (a_1 ... a_k), the new face
     x -> (tau(x) mod 2n) + 1 is one 2n-cycle.  Each label is renamed by its

@@ -59,6 +59,7 @@ def goe_surmise_density(s):
 
 
 def goe_surmise_cdf(s):
+    """CDF 1 - exp(-pi s^2 / 4) of the Wigner surmise; 0 below s = 0."""
     s = np.asarray(s, dtype=np.float64)
     return np.where(s >= 0.0, 1.0 - np.exp(-0.25 * np.pi * s * s), 0.0)
 
@@ -70,6 +71,7 @@ def exponential_density(s):
 
 
 def exponential_cdf(s):
+    """CDF 1 - exp(-s) of the unit exponential; 0 below s = 0."""
     s = np.asarray(s, dtype=np.float64)
     return np.where(s >= 0.0, -np.expm1(-np.clip(s, 0.0, None)), 0.0)
 
@@ -123,13 +125,13 @@ def pooled_bulk_spacings(
     return np.concatenate([_bulk_spacings(v, bulk_fraction) for v in _ensemble_values(spectra)])
 
 
-def _bulk_fraction(value) -> float:
-    """``value`` if it is a real number in (0, 1], else ValueError."""
+def _bulk_fraction(value, name: str = "bulk_fraction") -> float:
+    """``value`` if it is a real number in (0, 1], else a ValueError naming ``name``."""
     # a bool is an int to isinstance, and True would read as 1.0
     if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
-        raise ValueError(f"bulk_fraction must be a real number, got {value!r}")
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not 0.0 < value <= 1.0:
-        raise ValueError(f"bulk_fraction must lie in (0, 1], got {value}")
+        raise ValueError(f"{name} must lie in (0, 1], got {value}")
     return value
 
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with different algorithms than the
 package: interleave checks are quadratic pair-vs-pair scans, the map
-vertex count walks the opposite orientation (whose orbit permutation is
+vertices are listed with a seen set and modular successors, their count
+also walks the opposite orientation (whose orbit permutation is
 the inverse of the production one, so the cycle count must agree), and
 genus counts come from the Harer-Zagier generating function as an exact
 rational power series, not from the package's recurrence, spectra come
@@ -85,6 +86,26 @@ def crossing_free(partner: tuple[int, ...]) -> bool:
             if a < c < b < d:
                 return False
     return True
+
+
+def vertex_cycles(partner) -> list[tuple[int, ...]]:
+    """Orbits of i -> partner(i+1 mod 2n) on a 1-based table, the map vertices,
+    each from its least label and in order of it: a seen set and the modular
+    successor ``partner[i % 2n]``, with no table of steps."""
+    two_n = len(partner)
+    seen: set[int] = set()
+    cycles = []
+    for start in range(1, two_n + 1):
+        if start in seen:
+            continue
+        cycle = [start]
+        i = partner[start % two_n]
+        while i != start:
+            cycle.append(i)
+            i = partner[i % two_n]
+        seen.update(cycle)
+        cycles.append(tuple(cycle))
+    return cycles
 
 
 def map_vertex_count_reverse(partner: tuple[int, ...]) -> int:

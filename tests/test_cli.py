@@ -284,17 +284,7 @@ def test_bipartite_spectra_do_not_depend_on_the_blas_thread_count(tmp_path, monk
      (["generate", "--sampler", "ncpp", "--n", "20", "--samples", "6", "--seed", "1"], 6)],
     ids=["enumerate", "generate"],
 )
-def test_each_written_record_walks_its_gluing_once(argv, k, monkeypatch, tmp_path):
-    from onefacemaps import mapcore
-
-    walks = []
-    walk = mapcore.vertex_cycles
-
-    def counted(g):
-        walks.append(g)
-        return walk(g)
-
-    monkeypatch.setattr(mapcore, "vertex_cycles", counted)
+def test_each_written_record_walks_its_gluing_once(argv, k, walks, monkeypatch, tmp_path):
     out = tmp_path / "ens.jsonl"
     assert run(*argv, "--out", out) == 0
     assert len(walks) == k
@@ -302,19 +292,10 @@ def test_each_written_record_walks_its_gluing_once(argv, k, monkeypatch, tmp_pat
     assert len(read_records(out)) == k
 
 
-def test_degrees_walks_each_record_once(monkeypatch, tmp_path):
-    from onefacemaps import mapcore
-
+def test_degrees_walks_each_record_once(walks, tmp_path):
     ens = tmp_path / "ens.jsonl"
     assert run("generate", "--n", 30, "--samples", 5, "--seed", 2, "--out", ens) == 0
-    walks = []
-    walk = mapcore.vertex_cycles
-
-    def counted(g):
-        walks.append(g)
-        return walk(g)
-
-    monkeypatch.setattr(mapcore, "vertex_cycles", counted)
+    walks.clear()  # count only the walks of the reading command
     assert run("degrees", ens, "--out", tmp_path / "degrees.csv") == 0
     assert len(walks) == 5
 
@@ -484,7 +465,7 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
         (["enumerate", "--n", 9], None, 2, "need 1 <= --n <= 8, got 9"),
         (["walks", "{ens}", "--rmax", 21], _N2, 2, "need 1 <= --rmax <= 20, got 21"),
         (["spacings", "{ens}", "--bulk-fraction", 1.5], _N2, 2,
-         "bulk_fraction must lie in (0, 1], got 1.5"),
+         "--bulk-fraction must lie in (0, 1], got 1.5"),
         (["meanjth", "{ens}"], _N2 + _N3, 2, "spectra of mixed lengths: [4, 6]"),
         (["density", "{ens}"], "", 2, "ensemble file has no records"),
         (["genus", "{ens}"], _TORUS_AS_SPHERE, 2,
@@ -496,6 +477,9 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
          "record on line 2: bad ensemble record: a record must be a JSON object, got list"),
         (["genus", "{ens}"], _NEGATIVE_SEED, 2,
          "record on line 1: bad ensemble record: need 0 <= seed <= 18446744073709551615, got -5"),
+        (["genus", "{ens}"], "[" * 100_000 + "\n", 2,
+         "record on line 1: bad ensemble record: "
+         "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
         (["density", "{ens}", "--bins", 0], _N2, 2, "need --bins >= 1, got 0"),
         (["spacings", "{ens}", "--bins", -5], _N2, 2, "need --bins >= 1, got -5"),
         (["generate", "--sampler", "genus-filtered", "--n", 50, "--samples", 1, "--genus", 99],
@@ -504,7 +488,7 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
         # the caps too are checked before the file is read, so an empty one cannot mask them
         (["walks", "{ens}", "--rmax", 21], "", 2, "need 1 <= --rmax <= 20, got 21"),
         (["spacings", "{ens}", "--bulk-fraction", 1.5], "", 2,
-         "bulk_fraction must lie in (0, 1], got 1.5"),
+         "--bulk-fraction must lie in (0, 1], got 1.5"),
         (["enumerate", "--n", 0], None, 2, "need 1 <= --n <= 8, got 0"),
         (["enumerate", "--kind", "ncpp", "--n", 15], None, 2, "need 1 <= --n <= 14, got 15"),
         (["generate", "--sampler", "genus-filtered", "--n", 50, "--samples", 1, "--genus", 0,
@@ -516,7 +500,8 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
     ],
     ids=["samples0", "n0", "budget0", "seed-negative", "seed-big", "no-genus", "stray-genus",
          "stray-budget", "count", "table", "enumerate", "walks", "spacings", "meanjth-mixed", "empty",
-         "wrong-genus", "not-utf8", "not-an-object", "negative-seed", "density-bins0", "spacings-bins-negative",
+         "wrong-genus", "not-utf8", "not-an-object", "negative-seed", "deep-nesting",
+         "density-bins0", "spacings-bins-negative",
          "genus99", "rmax0", "walks-empty", "spacings-empty", "enumerate-n0", "enumerate-ncpp-n15",
          "budget", "budget-below-samples"],
 )
@@ -535,7 +520,7 @@ def test_error_contract(argv, ensemble, code, err, tmp_path, capsys):
     [
         (["density", "--bins", 0], "need --bins >= 1, got 0"),
         (["spacings", "--bins", 0], "need --bins >= 1, got 0"),
-        (["spacings", "--bulk-fraction", 1.5], "bulk_fraction must lie in (0, 1], got 1.5"),
+        (["spacings", "--bulk-fraction", 1.5], "--bulk-fraction must lie in (0, 1], got 1.5"),
     ],
     ids=["density-bins0", "spacings-bins0", "spacings-bulk-fraction"],
 )

@@ -32,11 +32,10 @@ from onefacemaps import (
     sample_ncpp,
     sample_uniform_gluing,
     spacing_distribution,
-    vertex_cycles,
     write_records,
 )
 from onefacemaps import cli, mapcore
-from onefacemaps.mapcore import _conjugate, _orbit_counts
+from onefacemaps.mapcore import _conjugate, _orbit_counts, _vertices
 
 
 def test_smallest_gluing_is_valid():
@@ -303,11 +302,20 @@ def test_orbit_count_equals_vertex_cycles():
     for n in range(1, 6):
         partners = list(brute.all_matchings(n))
         counts = _orbit_counts(np.array(partners) - 1)
-        assert counts.tolist() == [len(vertex_cycles(brute.gluing(p))) for p in partners]
+        assert counts.tolist() == [len(brute.vertex_cycles(p)) for p in partners]
     gen = RngStream(300).generator()
     draws = [sample_uniform_gluing(300, gen) for _ in range(200)]
     counts = _orbit_counts(np.array([g.partner for g in draws]) - 1)
-    assert counts.tolist() == [len(vertex_cycles(g)) for g in draws]
+    assert counts.tolist() == [len(brute.vertex_cycles(g.partner)) for g in draws]
+
+
+def test_vertex_walk_equals_oracle_cycles():
+    # every gluing with n <= 5, then seeded uniform and non-crossing draws
+    partners = [p for n in range(1, 6) for p in brute.all_matchings(n)]
+    partners += [sample_uniform_gluing(300, RngStream(26, i)).partner for i in range(100)]
+    partners += [sample_ncpp(500, RngStream(26, i)).partner for i in range(100)]
+    for partner in partners:
+        assert _vertices(partner) == [(c[0], len(c)) for c in brute.vertex_cycles(partner)]
 
 
 def test_adjacency_equals_edge_by_edge_oracle():
@@ -620,8 +628,11 @@ def test_read_records_rejects_fields_that_are_not_json_integers(tmp_path, field,
         ('{"n": 0, "partner": [], "genus": 0, "seed": 7, "sample_index": 0}', "need n >= 1, got 0"),
         ('{"n": -1, "partner": [], "genus": 0, "seed": 7, "sample_index": 0}',
          "need n >= 1, got -1"),
+        ("[" * 100_000,
+         "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
     ],
-    ids=["list", "null", "string", "no-sample-index", "no-partner", "n-0", "n-minus-1"],
+    ids=["list", "null", "string", "no-sample-index", "no-partner", "n-0", "n-minus-1",
+         "deep-nesting"],
 )
 def test_read_records_rejects_lines_that_are_not_records(tmp_path, line, fault):
     path = tmp_path / "ens.jsonl"

@@ -17,7 +17,6 @@ from onefacemaps import (
     sample_genus_filtered,
     sample_ncpp,
     sample_uniform_gluing,
-    vertex_cycles,
 )
 from onefacemaps.errors import BudgetExhaustedError
 from onefacemaps.samplers import _glue, _noncrossing_partner
@@ -226,7 +225,7 @@ def _glue_images(n, pick):
     """(image, its genus by the rule) of ``_glue`` for every gluing of size n
     and odd set of at least 3 of its vertices, each vertex named by ``pick(cycle)``."""
     for g in enumerate_all_gluings(n):
-        labels = [pick(cycle) for cycle in vertex_cycles(g)]
+        labels = [pick(cycle) for cycle in brute.vertex_cycles(g.partner)]
         for k in range(3, len(labels) + 1, 2):
             for chosen in itertools.combinations(labels, k):
                 yield _glue(g.partner, chosen), genus(g) + k // 2

@@ -15,8 +15,8 @@ from onefacemaps import (
     is_noncrossing,
     sample_ncpp,
     sample_uniform_gluing,
-    vertex_cycles,
 )
+from onefacemaps.mapcore import _vertices
 
 # the one shape fault of a map matrix, up to its shape
 SHAPE_FAULT = r"^map matrices are square of even size 2n >= 2, got shape "
@@ -27,22 +27,26 @@ TWOGON = brute.gluing([2, 1])
 
 
 def test_vertex_cycles_two_gon():
-    assert vertex_cycles(TWOGON) == [(1,), (2,)]
+    assert brute.vertex_cycles(TWOGON.partner) == [(1,), (2,)]
+    assert _vertices(TWOGON.partner) == [(1, 1), (2, 1)]
 
 
 def test_vertex_cycles_torus():
-    assert vertex_cycles(TORUS) == [(1, 4, 3, 2)]
+    assert brute.vertex_cycles(TORUS.partner) == [(1, 4, 3, 2)]
+    assert _vertices(TORUS.partner) == [(1, 4)]
 
 
 def test_vertex_cycles_path():
-    assert vertex_cycles(PATH2) == [(1,), (2, 4), (3,)]
+    assert brute.vertex_cycles(PATH2.partner) == [(1,), (2, 4), (3,)]
+    assert _vertices(PATH2.partner) == [(1, 1), (2, 2), (3, 1)]
 
 
 def test_vertex_cycles_partition_labels():
     for partner in brute.all_matchings(4):
-        cycles = vertex_cycles(brute.gluing(partner))
+        cycles = brute.vertex_cycles(partner)
         labels = sorted(label for c in cycles for label in c)
         assert labels == list(range(1, 9))
+        assert _vertices(partner) == [(c[0], len(c)) for c in cycles]
 
 
 def test_genus_examples():
@@ -155,17 +159,7 @@ def test_degree_distribution_weighted_sum():
         assert sum(k * c for k, c in dist.items()) == 2 * n
 
 
-def test_genus_and_degrees_share_one_walk(monkeypatch):
-    from onefacemaps import mapcore
-
-    walks = []
-    walk = mapcore.vertex_cycles
-
-    def counted(g):
-        walks.append(g)
-        return walk(g)
-
-    monkeypatch.setattr(mapcore, "vertex_cycles", counted)
+def test_genus_and_degrees_share_one_walk(walks):
     g = brute.gluing([3, 4, 1, 2, 6, 5])
     assert genus(g) == 1
     dist = degree_distribution(g)
@@ -173,12 +167,12 @@ def test_genus_and_degrees_share_one_walk(monkeypatch):
     dist[1] = 99  # a copy: the next call is not changed
     assert degree_distribution(g) == {1: 1, 5: 1} and genus(g) == 1
     assert EnsembleRecord(gluing=g, genus=1, seed=0, sample_index=0).genus == 1
-    assert walks == [g]
+    assert walks == [g.partner]
     # a record built first walks its gluing once, and genus and degrees reuse that walk
     h = brute.gluing([3, 4, 1, 2, 6, 5])
     EnsembleRecord(gluing=h, genus=1, seed=0, sample_index=0)
     assert genus(h) == 1 and degree_distribution(h) == {1: 1, 5: 1}
-    assert walks == [g, h]
+    assert walks == [g.partner, h.partner]
 
 
 def test_genus_zero_maps_have_tree_vertex_count():
