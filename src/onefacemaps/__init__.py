@@ -49,6 +49,7 @@ _SOURCE = {
     "sample_ncpp": "samplers",
     "sample_uniform_gluing": "samplers",
     "spacing_distribution": "stats",
+    "spectrum": "spectra",
     "write_records": "mapcore",
 }
 

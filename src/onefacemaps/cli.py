@@ -21,8 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import counting, topology
 from .errors import BudgetExhaustedError, NoConvergenceError
-from .mapcore import _SEED_MAX, EnsembleRecord, Gluing, _exact_int, build_adjacency
-from .mapcore import read_records, write_records
+from .mapcore import _SEED_MAX, EnsembleRecord, Gluing, _exact_int, _records, write_records
 
 if TYPE_CHECKING:
     from .spectra import Spectrum
@@ -56,18 +55,27 @@ def _write_ensemble(path: str | None, gluings: Iterable[Gluing], seed: int) -> N
         write_records(fh, records)
 
 
-def _read_ensemble(path: str) -> list[EnsembleRecord]:
-    records = read_records(path)
-    if not records:
+def _ensemble(path: str) -> Iterator[EnsembleRecord]:
+    """The records of the ensemble file at ``path``, parsed one line at a
+    time, then a ValueError if there were none.  ``genus``, ``degrees`` and
+    ``walks`` keep only integer rows or totals from it, and write once the
+    whole file has parsed, so a bad line still leaves the output empty."""
+    count = 0
+    for count, rec in enumerate(_records(path), start=1):
+        yield rec
+    if not count:
         raise ValueError("ensemble file has no records")
-    return records
+
+
+def _read_ensemble(path: str) -> list[EnsembleRecord]:
+    return list(_ensemble(path))
 
 
 def _spectra(records: list[EnsembleRecord]) -> Iterator[Spectrum]:
-    from .spectra import eigenvalues_symmetric
+    from .spectra import spectrum
 
     for rec in records:
-        yield eigenvalues_symmetric(build_adjacency(rec.gluing))
+        yield spectrum(rec.gluing)
 
 
 def _write_table(path: str | None, columns: tuple[str, ...], rows: Iterable[tuple]) -> None:
@@ -171,28 +179,27 @@ def cmd_meanjth(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    rows = ((rec.sample_index, rec.genus) for rec in _read_ensemble(args.ensemble))
+    rows = [(rec.sample_index, rec.genus) for rec in _ensemble(args.ensemble)]
     _write_table(args.out, ("sample_index", "genus"), rows)
     return EXIT_OK
 
 
 def cmd_degrees(args) -> int:
-    records = _read_ensemble(args.ensemble)
     totals: dict[int, int] = {}
-    for rec in records:
+    for records, rec in enumerate(_ensemble(args.ensemble), start=1):
         for degree, count in topology.degree_distribution(rec.gluing).items():
             totals[degree] = totals.get(degree, 0) + count
-    rows = ((degree, _fmt(totals[degree] / len(records))) for degree in sorted(totals))
+    rows = ((degree, _fmt(totals[degree] / records)) for degree in sorted(totals))
     _write_table(args.out, ("degree", "mean_count"), rows)
     return EXIT_OK
 
 
 def cmd_walks(args) -> int:
     rmax = _exact_int(args.rmax, "--rmax", 1, topology.MAX_WALK_LENGTH)
-    rows = (
+    rows = [
         (rec.sample_index, *topology.closed_walk_counts(rec.gluing, rmax))
-        for rec in _read_ensemble(args.ensemble)
-    )
+        for rec in _ensemble(args.ensemble)
+    ]
     columns = ("sample_index", *(f"w{r}" for r in range(1, rmax + 1)))
     _write_table(args.out, columns, rows)
     return EXIT_OK

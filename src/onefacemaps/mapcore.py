@@ -24,7 +24,7 @@ import json
 import operator
 import os
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -328,8 +328,16 @@ def read_records(path) -> list[EnsembleRecord]:
     are skipped.  Raises ValueError naming the line of the first record
     that fails any of these checks.
     """
+    return list(_records(path))
+
+
+def _records(path) -> Iterator[EnsembleRecord]:
+    """The records of ``read_records``, parsed one line at a time, so a
+    caller that keeps no record holds one line and one record at once."""
     with open(path, "rb") as fh:
-        # splits at LF, CRLF and CR alike, as a text-mode read does
-        lines = fh.read().splitlines()
-    return [_parse_record(line, line_no) for line_no, line in enumerate(lines, start=1)
-            if line.strip()]
+        # each LF-ended chunk split again at LF, CRLF and CR alike, as a
+        # text-mode read splits, so a CR-only file arrives as one chunk
+        lines = (line for chunk in fh for line in chunk.splitlines())
+        for line_no, line in enumerate(lines, start=1):
+            if line.strip():
+                yield _parse_record(line, line_no)

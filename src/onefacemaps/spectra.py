@@ -2,7 +2,8 @@
 
 The whole ascending spectrum is needed downstream (density and spacing
 statistics), so every eigenvalue is computed, by LAPACK, on one of two
-paths chosen from the matrix itself:
+paths, chosen by ``spectrum`` from the gluing's partner parities and by
+``eigenvalues_symmetric`` from the matrix's parity blocks:
 
 * bipartite: when no entry joins two indices of the same parity (every
   genus-zero map, and any gluing whose pairs all join odd to even labels),
@@ -12,11 +13,11 @@ paths chosen from the matrix itself:
   replaces the full solve.
 * dense: otherwise, a symmetric eigensolve of the whole 2n x 2n matrix.
 
-Each solve makes one float64 copy of the matrix it solves and lets LAPACK
-overwrite it: ``dsyevd`` or ``dgesdd`` of the OpenBLAS that numpy's wheel
-bundles, called through ctypes with the workspace numpy's own ``eigvalsh``
-and ``svd`` would query, so an adjacency matrix gets numpy's values to the
-byte.
+Both entry points share one solve, ``_solve``.  It makes one float64
+copy of the matrix it solves and lets LAPACK overwrite it: ``dsyevd`` or
+``dgesdd`` of the OpenBLAS that numpy's wheel bundles, called through
+ctypes with the workspace numpy's own ``eigvalsh`` and ``svd`` would
+query, so an adjacency matrix gets numpy's values to the byte.
 
 A bipartite solve runs on one thread of that OpenBLAS, and the caller's
 thread count comes back when it ends, so a bipartite spectrum, which
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergenceError
-from .mapcore import _map_matrix, _parity_blocks_vanish, _rebuild
+from .mapcore import Gluing, _map_matrix, _parity_blocks_vanish, _rebuild, build_adjacency
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,29 +74,46 @@ class Spectrum:
     __reduce__ = _rebuild
 
 
+def spectrum(g: Gluing) -> Spectrum:
+    """All eigenvalues of the adjacency matrix of ``g``, ascending: the solve
+    of ``eigenvalues_symmetric``, on the path one O(n) pass over the
+    checked partner table chooses, with no check of the matrix."""
+    # 2n is even, so every cycle edge joins labels of opposite parity, and
+    # only a glued pair can join two labels of the same parity
+    bipartite = all((i + p) % 2 for i, p in enumerate(g.partner, start=1))
+    return _solve(build_adjacency(g), bipartite)
+
+
 def eigenvalues_symmetric(a: np.ndarray) -> Spectrum:
-    """All eigenvalues of a symmetric map matrix, ascending.
+    """All eigenvalues of a symmetric map matrix from outside the package, ascending.
 
     ``a`` must pass the map-matrix rule it shares with ``is_bipartite``
     (square of even size 2n >= 2, finite entries of a boolean, integer or
     real floating dtype) and be symmetric, as ``dsyevd('L')`` assumes.
-    If both parity blocks ``a[0::2, 0::2]`` and ``a[1::2, 1::2]`` are zero,
-    the values are ``-s`` and ``s`` for the singular values ``s`` of
-    ``a[0::2, 1::2]`` (LAPACK ``dgesdd``), symmetric about zero by
-    construction and with no ``-0.0``; otherwise they come from a dense
-    symmetric eigensolve (LAPACK ``dsyevd``).  Either way the matrix
-    solved is copied once, to Fortran-ordered float64, and LAPACK
-    overwrites that copy; ``a`` itself is never written.  Deterministic
-    for a fixed input on one platform; a bipartite solve runs on one
-    thread of the bundled OpenBLAS, so its values hold at any thread
-    count, while dense values hold only at a fixed one.
+    The path is the bipartite one iff both parity blocks of ``a`` are
+    zero; ``_solve`` describes both, and ``a`` itself is never written.
     """
     a = _map_matrix(a)
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
+    return _solve(a, _parity_blocks_vanish(a))
+
+
+def _solve(a: np.ndarray, bipartite: bool) -> Spectrum:
+    """The spectrum of the admitted symmetric map matrix ``a``.
+
+    If ``bipartite``, so that both parity blocks ``a[0::2, 0::2]`` and
+    ``a[1::2, 1::2]`` are zero, the values are ``-s`` and ``s`` for the
+    singular values ``s`` of ``a[0::2, 1::2]`` (LAPACK ``dgesdd``, on one
+    BLAS thread), symmetric about zero by construction and with no
+    ``-0.0``; otherwise they come from a dense symmetric eigensolve
+    (LAPACK ``dsyevd``, on the caller's threads).  Either way the matrix
+    solved is copied once, to Fortran-ordered float64, and LAPACK
+    overwrites that copy.
+    """
     bundled = _openblas() is not None  # else np.linalg, on the caller's threads
     try:
-        if _parity_blocks_vanish(a):
+        if bipartite:
             work = np.array(a[0::2, 1::2], dtype=np.float64, order="F")
             with _one_blas_thread() if bundled else contextlib.nullcontext():
                 s = _singular_values(work) if bundled else np.linalg.svd(work, compute_uv=False)

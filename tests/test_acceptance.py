@@ -38,6 +38,7 @@ from onefacemaps import (
     sample_genus_filtered,
     sample_ncpp,
     sample_uniform_gluing,
+    spectrum,
 )
 from onefacemaps import cli, closed_walk_counts
 from onefacemaps.errors import BudgetExhaustedError
@@ -50,7 +51,7 @@ BINS = 100
 
 
 def _spectra(gluings):
-    return [eigenvalues_symmetric(build_adjacency(g)) for g in gluings]
+    return [spectrum(g) for g in gluings]
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +152,7 @@ def test_criterion_05_spectral_self_consistency():
     worst = 0.0
     for _ in range(100):
         g = sample_uniform_gluing(100, gen)
-        s = eigenvalues_symmetric(build_adjacency(g))
+        s = spectrum(g)
         walks = closed_walk_counts(g, 10)
         for r in range(2, 11):
             moment = float(np.sum(s.values**r))

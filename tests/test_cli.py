@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -480,6 +481,11 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
         (["genus", "{ens}"], "[" * 100_000 + "\n", 2,
          "record on line 1: bad ensemble record: "
          "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+        # the record commands read as they go, and write only once the file has parsed
+        (["genus", "{ens}"], _N2 * 3 + "[2, 1]\n", 2,
+         "record on line 4: bad ensemble record: a record must be a JSON object, got list"),
+        (["walks", "{ens}"], _N2 * 3 + "\n" + _TORUS_AS_SPHERE, 2,
+         "record on line 5: bad ensemble record: genus is 0, its gluing has genus 1"),
         (["density", "{ens}", "--bins", 0], _N2, 2, "need --bins >= 1, got 0"),
         (["spacings", "{ens}", "--bins", -5], _N2, 2, "need --bins >= 1, got -5"),
         (["generate", "--sampler", "genus-filtered", "--n", 50, "--samples", 1, "--genus", 99],
@@ -501,6 +507,7 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
     ids=["samples0", "n0", "budget0", "seed-negative", "seed-big", "no-genus", "stray-genus",
          "stray-budget", "count", "table", "enumerate", "walks", "spacings", "meanjth-mixed", "empty",
          "wrong-genus", "not-utf8", "not-an-object", "negative-seed", "deep-nesting",
+         "genus-late-fault", "walks-late-fault",
          "density-bins0", "spacings-bins-negative",
          "genus99", "rmax0", "walks-empty", "spacings-empty", "enumerate-n0", "enumerate-ncpp-n15",
          "budget", "budget-below-samples"],
@@ -527,10 +534,10 @@ def test_error_contract(argv, ensemble, code, err, tmp_path, capsys):
 def test_statistic_parameters_checked_before_any_spectrum(argv, err, monkeypatch, tmp_path, capsys):
     from onefacemaps import spectra
 
-    def fail(a):
+    def fail(g):
         raise AssertionError("a spectrum was solved before the parameters were checked")
 
-    monkeypatch.setattr(spectra, "eigenvalues_symmetric", fail)
+    monkeypatch.setattr(spectra, "spectrum", fail)
     ens = tmp_path / "ens.jsonl"
     ens.write_text(_N2 + _N2)
     assert run(argv[0], ens, *argv[1:]) == 2
@@ -540,7 +547,8 @@ def test_statistic_parameters_checked_before_any_spectrum(argv, err, monkeypatch
 
 
 def test_eigensolver_failure_is_exit_5(monkeypatch, tmp_path, capsys):
-    from onefacemaps import spectra
+    from onefacemaps import build_adjacency, spectra
+    from onefacemaps.errors import NoConvergenceError
 
     def fail(work):
         raise np.linalg.LinAlgError("dsyevd returned info = 1")
@@ -553,3 +561,42 @@ def test_eigensolver_failure_is_exit_5(monkeypatch, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: eigensolver did not converge: dsyevd returned info = 1\n"
     assert captured.out == ""
+    # the CLI solves through spectrum; the matrix entry point shares its solve
+    k4 = read_records(ens)[0].gluing
+    for solve in (spectra.spectrum, lambda g: spectra.eigenvalues_symmetric(build_adjacency(g))):
+        with pytest.raises(NoConvergenceError, match="^eigensolver did not converge: dsyevd returned info = 1$"):
+            solve(k4)
+
+
+def test_spectral_commands_check_no_matrix(monkeypatch, tmp_path):
+    # records are checked as they are read, so no command rechecks a map's matrix
+    from onefacemaps import mapcore, spectra
+
+    def fail(a):
+        raise AssertionError("a matrix the package built was checked again")
+
+    for module in (mapcore, spectra):
+        monkeypatch.setattr(module, "_map_matrix", fail)
+        monkeypatch.setattr(module, "_parity_blocks_vanish", fail)
+    uni, nc = tmp_path / "uni.jsonl", tmp_path / "nc.jsonl"
+    assert run("generate", "--n", 20, "--samples", 3, "--seed", 4, "--out", uni) == 0
+    assert run("generate", "--sampler", "ncpp", "--n", 20, "--samples", 3, "--seed", 4,
+               "--out", nc) == 0
+    for command in ("spectrum", "density", "spacings", "meanjth"):
+        for ens in (uni, nc):
+            assert run(command, ens, "--out", tmp_path / f"{command}.csv") == 0
+
+
+@pytest.mark.parametrize("command", ["genus", "degrees"])
+def test_record_commands_keep_no_record(command, tmp_path):
+    # the 4,862 non-crossing gluings with n = 9: a parsed record holds about
+    # 800 bytes, an integer row of genus under 200 and the degree totals none
+    ens = tmp_path / "nc9.jsonl"
+    assert run("enumerate", "--kind", "ncpp", "--n", 9, "--out", ens) == 0
+    tracemalloc.start()
+    try:
+        assert run(command, ens, "--out", tmp_path / "out.csv") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300 * 4862

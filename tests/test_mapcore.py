@@ -596,6 +596,20 @@ def test_lf_crlf_and_cr_files_read_the_same_records(tmp_path):
         read_records(path)
 
 
+def test_mixed_line_endings_number_lines_as_one_split_of_the_file(tmp_path):
+    # records are read one LF-ended chunk at a time; CRLF, a lone CR and a
+    # lone LF each still end one line, as one split of the whole file does
+    path = tmp_path / "ens.jsonl"
+    good = json.dumps(GOOD_RECORD).encode()
+    data = good + b"\r\n\r" + good + b"\r\r\n\nnot json"
+    path.write_bytes(data)
+    assert data.splitlines().index(b"not json") == 5
+    with pytest.raises(ValueError, match="^record on line 6: bad ensemble record: Expecting value"):
+        read_records(path)
+    path.write_bytes(data[: -len(b"not json")])
+    assert [r.sample_index for r in read_records(path)] == [0, 0]
+
+
 @pytest.mark.parametrize(
     "field, value, fault",
     [

@@ -14,14 +14,24 @@ from onefacemaps import (
     eigenvalues_symmetric,
     genus,
     is_bipartite,
+    sample_genus_filtered,
     sample_ncpp,
     sample_uniform_gluing,
+    spectrum,
 )
 from onefacemaps import spectra
 from onefacemaps.errors import NoConvergenceError
 
 # the one shape fault of a map matrix, up to its shape
 SHAPE_FAULT = r"^map matrices are square of even size 2n >= 2, got shape "
+
+
+def _by_matrix(g):
+    return eigenvalues_symmetric(build_adjacency(g))
+
+
+# the two entry points to the one solve: a checked gluing, and a matrix from outside
+ENTRY_POINTS = [spectrum, _by_matrix]
 
 
 def _assert_matches_dense(a):
@@ -143,13 +153,19 @@ def test_solve_and_bipartite_test_share_one_shape_rule(a, fault):
             check(a)
 
 
-def _solve_inputs():
+def _solve_gluings():
     for n in (1, 2, 50, 300):
         for index in range(3):
-            yield build_adjacency(sample_uniform_gluing(n, RngStream(31, index)))
-            yield build_adjacency(sample_ncpp(n, RngStream(32, index)))
-    yield np.zeros((4, 4), dtype=np.int64)
-    yield build_adjacency(brute.gluing([3, 4, 1, 2]))  # K4
+            yield sample_uniform_gluing(n, RngStream(31, index))
+            yield sample_ncpp(n, RngStream(32, index))
+    yield brute.gluing([3, 4, 1, 2])  # K4
+
+
+def _solve_bytes():
+    """The spectrum bytes of every input through each entry point, and of the
+    zero matrix, which is no gluing's."""
+    solved = [solve(g).values.tobytes() for solve in ENTRY_POINTS for g in _solve_gluings()]
+    return solved + [eigenvalues_symmetric(np.zeros((4, 4), dtype=np.int64)).values.tobytes()]
 
 
 def test_lapack_call_matches_numpy_fallback_bytes(monkeypatch):
@@ -160,9 +176,9 @@ def test_lapack_call_matches_numpy_fallback_bytes(monkeypatch):
     original = get()
     set_(1)  # the fallback runs on the caller's threads, so both sides run on one
     try:
-        direct = [eigenvalues_symmetric(a).values.tobytes() for a in _solve_inputs()]
+        direct = _solve_bytes()
         monkeypatch.setattr(spectra, "_openblas", lambda: None)
-        fallback = [eigenvalues_symmetric(a).values.tobytes() for a in _solve_inputs()]
+        fallback = _solve_bytes()
     finally:
         set_(original)
     assert direct == fallback
@@ -235,20 +251,23 @@ def test_spectrum_keeps_its_values_from_the_array_it_was_built_from():
 
 
 @pytest.mark.parametrize(
-    "sampler, n, bound",
-    [(sample_uniform_gluing, 300, 1.3), (sample_ncpp, 500, 0.5)],
+    "solve, sampler, n, bound",
+    [(_by_matrix, sample_uniform_gluing, 300, 1.3), (_by_matrix, sample_ncpp, 500, 0.5),
+     (spectrum, sample_uniform_gluing, 300, 1.3), (spectrum, sample_ncpp, 500, 0.5)],
+    ids=["sample_uniform_gluing-300-1.3", "sample_ncpp-500-0.5",
+         "spectrum-sample_uniform_gluing-300-1.3", "spectrum-sample_ncpp-500-0.5"],
 )
-def test_peak_memory_of_one_solve(sampler, n, bound):
+def test_peak_memory_of_one_solve(solve, sampler, n, bound):
     # in units of one 2n x 2n float64 matrix: the int8 adjacency, the one
     # float64 copy of the matrix solved and LAPACK's workspace.  tracemalloc
     # sees only numpy's own arrays, not the copy np.linalg makes inside
     # eigvalsh and svd, so this bound holds on the fallback too; that the
     # bundled call copies nothing is pinned by the test below
     g = sampler(n, RngStream(34))
-    eigenvalues_symmetric(build_adjacency(g))  # load the library first
+    solve(g)  # load the library first
     tracemalloc.start()
     try:
-        eigenvalues_symmetric(build_adjacency(g))
+        solve(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -283,20 +302,55 @@ def test_bipartite_solve_runs_on_one_blas_thread_and_restores_the_count(monkeypa
                 return solve(work)
             return wrapped
 
-        monkeypatch.setattr(spectra, "_singular_values", counting(spectra._singular_values))
-        monkeypatch.setattr(spectra, "_symmetric_eigenvalues", counting(spectra._symmetric_eigenvalues))
-        eigenvalues_symmetric(build_adjacency(sample_ncpp(50, RngStream(36))))
-        assert get() == before
-        eigenvalues_symmetric(build_adjacency(brute.gluing([3, 4, 1, 2])))  # K4: dense
-        assert seen == [1, before]  # the dense solve keeps the caller's count
-        assert get() == before
-
         def fail(work):
             raise np.linalg.LinAlgError("dgesdd returned info = 1")
 
-        monkeypatch.setattr(spectra, "_singular_values", fail)
-        with pytest.raises(NoConvergenceError, match="dgesdd returned info = 1"):
-            eigenvalues_symmetric(build_adjacency(sample_ncpp(50, RngStream(36))))
-        assert get() == before
+        singular_values, symmetric_eigenvalues = spectra._singular_values, spectra._symmetric_eigenvalues
+        for solve in ENTRY_POINTS:
+            seen.clear()
+            monkeypatch.setattr(spectra, "_singular_values", counting(singular_values))
+            monkeypatch.setattr(spectra, "_symmetric_eigenvalues", counting(symmetric_eigenvalues))
+            solve(sample_ncpp(50, RngStream(36)))
+            assert get() == before
+            solve(brute.gluing([3, 4, 1, 2]))  # K4: dense
+            assert seen == [1, before]  # the dense solve keeps the caller's count
+            assert get() == before
+
+            monkeypatch.setattr(spectra, "_singular_values", fail)
+            with pytest.raises(NoConvergenceError, match="dgesdd returned info = 1"):
+                solve(sample_ncpp(50, RngStream(36)))
+            assert get() == before
     finally:
         set_(original)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_parity_rule_equals_breadth_first_two_coloring(n, monkeypatch):
+    # every gluing with n <= 6, 11,464 in all; the solve is replaced by a
+    # recorder of the path that spectrum chose
+    chosen = []
+    monkeypatch.setattr(spectra, "_solve", lambda a, bipartite: chosen.append(bipartite))
+    gluings = [brute.gluing(partner) for partner in brute.all_matchings(n)]
+    for g in gluings:
+        spectrum(g)
+    assert chosen == [brute.bipartite_by_bfs(build_adjacency(g)) for g in gluings]
+    assert len(chosen) == brute.count_matchings(n)
+
+
+def _byte_identity_gluings():
+    for n in range(1, 6):
+        for partner in brute.all_matchings(n):
+            yield brute.gluing(partner)
+    for n in (1, 2, 50, 300):
+        for index in range(3):
+            yield sample_uniform_gluing(n, RngStream(38, index))
+            yield sample_ncpp(n, RngStream(39, index))
+    yield from sample_genus_filtered(60, 27, 10_000, RngStream(40), num_samples=20).gluings
+
+
+def test_gluing_and_matrix_entry_points_give_the_same_bytes():
+    checked = 0
+    for g in _byte_identity_gluings():
+        assert spectrum(g).values.tobytes() == _by_matrix(g).values.tobytes()
+        checked += 1
+    assert checked == 1069 + 24 + 20
