@@ -486,6 +486,16 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
          "record on line 4: bad ensemble record: a record must be a JSON object, got list"),
         (["walks", "{ens}"], _N2 * 3 + "\n" + _TORUS_AS_SPHERE, 2,
          "record on line 5: bad ensemble record: genus is 0, its gluing has genus 1"),
+        # so do the statistics commands, which solve the maps as their lines are read
+        (["density", "{ens}"], _N2 * 3 + "[2, 1]\n", 2,
+         "record on line 4: bad ensemble record: a record must be a JSON object, got list"),
+        (["spacings", "{ens}"], _N2 * 3 + "\n" + _TORUS_AS_SPHERE, 2,
+         "record on line 5: bad ensemble record: genus is 0, its gluing has genus 1"),
+        (["meanjth", "{ens}"], _N2 * 2 + _NEGATIVE_SEED, 2,
+         "record on line 3: bad ensemble record: need 0 <= seed <= 18446744073709551615, got -5"),
+        # spectrum writes as it solves, so it parses the whole file first
+        (["spectrum", "{ens}"], _N2 * 3 + "[2, 1]\n", 2,
+         "record on line 4: bad ensemble record: a record must be a JSON object, got list"),
         (["density", "{ens}", "--bins", 0], _N2, 2, "need --bins >= 1, got 0"),
         (["spacings", "{ens}", "--bins", -5], _N2, 2, "need --bins >= 1, got -5"),
         (["generate", "--sampler", "genus-filtered", "--n", 50, "--samples", 1, "--genus", 99],
@@ -507,7 +517,8 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
     ids=["samples0", "n0", "budget0", "seed-negative", "seed-big", "no-genus", "stray-genus",
          "stray-budget", "count", "table", "enumerate", "walks", "spacings", "meanjth-mixed", "empty",
          "wrong-genus", "not-utf8", "not-an-object", "negative-seed", "deep-nesting",
-         "genus-late-fault", "walks-late-fault",
+         "genus-late-fault", "walks-late-fault", "density-late-fault", "spacings-late-fault",
+         "meanjth-late-fault", "spectrum-late-fault",
          "density-bins0", "spacings-bins-negative",
          "genus99", "rmax0", "walks-empty", "spacings-empty", "enumerate-n0", "enumerate-ncpp-n15",
          "budget", "budget-below-samples"],
@@ -600,3 +611,29 @@ def test_record_commands_keep_no_record(command, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 300 * 4862
+
+
+def _traced_peak_on_nc9(command, tmp_path):
+    """tracemalloc's peak while ``command`` reads the 4,862 non-crossing gluings with n = 9."""
+    ens = tmp_path / "nc9.jsonl"
+    assert run("enumerate", "--kind", "ncpp", "--n", 9, "--out", ens) == 0
+    tracemalloc.start()
+    try:
+        assert run(command, ens, "--out", tmp_path / "out.csv") == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_genus_keeps_its_rows_as_text(tmp_path):
+    # a row of genus as ASCII text holds about 8 bytes, a (sample_index, genus) tuple 100
+    assert _traced_peak_on_nc9("genus", tmp_path) <= 60 * 4862
+
+
+@pytest.mark.parametrize("command", ["density", "spacings", "meanjth"])
+def test_statistic_commands_keep_no_record(command, tmp_path):
+    # the statistics keep each map's 18 eigenvalues, about 300 bytes, and
+    # their pooled arrays, where a parsed record would add 800
+    from onefacemaps import spectra, stats  # the command's imports, kept out of the trace
+
+    assert _traced_peak_on_nc9(command, tmp_path) <= 800 * 4862
