@@ -9,22 +9,21 @@ standard output early (``| head``) ends the command quietly with exit 0.
 The array modules (``samplers``, ``spectra``, ``stats``) are imported by
 the commands that use them, so ``enumerate``, ``count``, ``table``,
 ``genus`` and ``degrees`` run without importing numpy.  Every command that
-reads an ensemble but ``spectrum`` parses it as it goes and holds at most
-256 records at once.
+reads an ensemble but ``spectrum`` parses it as it goes and keeps only
+running totals (``stats``) or its output text (``_write_table``).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import os
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import counting, topology
 from .errors import BudgetExhaustedError, NoConvergenceError
-from .mapcore import _SEED_MAX, EnsembleRecord, Gluing, _exact_int, _records, write_records
+from .mapcore import _SEED_MAX, EnsembleRecord, Gluing, _blocks, _exact_int, _records, write_records
 
 if TYPE_CHECKING:
     from .spectra import Spectrum
@@ -61,7 +60,7 @@ def _write_ensemble(path: str | None, gluings: Iterable[Gluing], seed: int) -> N
 def _ensemble(path: str) -> Iterator[EnsembleRecord]:
     """The records of the ensemble file at ``path``, parsed one line at a
     time, then a ValueError if there were none.  The commands keep only
-    rows, totals or spectra from it, and write once the whole file has
+    totals or output text from it, and write once the whole file has
     parsed, so a bad line still leaves the output empty."""
     count = 0
     for count, rec in enumerate(_records(path), start=1):
@@ -73,20 +72,20 @@ def _ensemble(path: str) -> Iterator[EnsembleRecord]:
 def _spectra(records: Iterable[EnsembleRecord]) -> Iterator[Spectrum]:
     from .spectra import spectrum
 
-    # parse a block of lines, then solve it: a parse between every two
-    # solves ran about 12% slower, and a block holds only 256 records
-    records = iter(records)
-    while block := list(itertools.islice(records, 256)):
-        for rec in block:
-            yield spectrum(rec.gluing)
+    # parse a block of lines, then solve it
+    return (spectrum(rec.gluing) for block in _blocks(records) for rec in block)
 
 
 def _write_table(path: str | None, columns: tuple[str, ...], rows: Iterable[tuple]) -> None:
-    """Rows of ints and ``_fmt`` strings as CSV with a header."""
+    """Rows of ints and ``_fmt`` strings as CSV with a header.  The rows wait as ASCII text
+    (a tuple or an io.StringIO write holds 64-100 B a row), then go out in 64 KiB str slices."""
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    table = bytearray((line % columns).encode())
+    for row in rows:
+        table += (line % row).encode()
     with _open_out(path) as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+        for i in range(0, len(table), 1 << 16):
+            fh.write(table[i : i + (1 << 16)].decode("ascii"))
 
 
 def cmd_generate(args) -> int:
@@ -182,13 +181,8 @@ def cmd_meanjth(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    # the rows wait as ASCII text, about 10 bytes each where a tuple takes 100
-    # (an io.StringIO keeps each write as its own str until 100,000 gather)
-    table = bytearray(b"sample_index,genus\n")
-    for rec in _ensemble(args.ensemble):
-        table += b"%d,%d\n" % (rec.sample_index, rec.genus)
-    with _open_out(args.out) as fh:
-        fh.write(table.decode("ascii"))
+    rows = ((rec.sample_index, rec.genus) for rec in _ensemble(args.ensemble))
+    _write_table(args.out, ("sample_index", "genus"), rows)
     return EXIT_OK
 
 
@@ -204,10 +198,10 @@ def cmd_degrees(args) -> int:
 
 def cmd_walks(args) -> int:
     rmax = _exact_int(args.rmax, "--rmax", 1, topology.MAX_WALK_LENGTH)
-    rows = [
+    rows = (
         (rec.sample_index, *topology.closed_walk_counts(rec.gluing, rmax))
         for rec in _ensemble(args.ensemble)
-    ]
+    )
     columns = ("sample_index", *(f"w{r}" for r in range(1, rmax + 1)))
     _write_table(args.out, columns, rows)
     return EXIT_OK

@@ -1,7 +1,8 @@
 """Empirical eigenvalue statistics and the reference curves they are
 compared against.
 
-Densities are pooled area-normalized histograms.  Spacings are consecutive
+Densities are area-normalized histograms whose counts are pooled one block
+of spectra at a time, so only running totals are kept.  Spacings are consecutive
 differences of the ordered eigenvalues over a central bulk window, scaled
 per graph to mean one before pooling; no further unfolding is applied.
 Reference curves: the limiting density of locally tree-like 3-regular
@@ -12,11 +13,11 @@ bulk spacing law, and the unit exponential.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .mapcore import _exact_int
+from .mapcore import _blocks, _exact_int
 from .spectra import Spectrum
 
 DENSITY_SUPPORT = (-3.0, 3.0)
@@ -76,18 +77,14 @@ def exponential_cdf(s):
     return np.where(s >= 0.0, -np.expm1(-np.clip(s, 0.0, None)), 0.0)
 
 
-def _ensemble_values(spectra: Iterable[Spectrum]) -> list[np.ndarray]:
-    """Each spectrum's values; draws them all, so a statistic checks its parameters first."""
-    values = [s.values for s in spectra]
-    if not values:
+def _histogram(blocks: Iterable[np.ndarray], bins: int, support: tuple) -> HistogramDensity:
+    """Area-normalized histogram of every block's values; fixed-range counts add exactly."""
+    counts, edges = np.zeros(bins, dtype=np.intp), None
+    for values in blocks:
+        block_counts, edges = np.histogram(values, bins=bins, range=support)
+        counts += block_counts
+    if edges is None:
         raise ValueError("empty ensemble")
-    return values
-
-
-def _pooled_histogram(
-    values: np.ndarray, bins: int, support: tuple[float, float]
-) -> HistogramDensity:
-    counts, edges = np.histogram(values, bins=bins, range=support)
     in_range = counts.sum()
     if in_range == 0:
         raise ValueError("no values fall inside the histogram support")
@@ -98,12 +95,17 @@ def _pooled_histogram(
 def empirical_density(spectra: Iterable[Spectrum], bins: int = DEFAULT_BINS) -> HistogramDensity:
     """Area-normalized histogram of all eigenvalues pooled over an ensemble."""
     _exact_int(bins, "bins", 1)
-    values = np.concatenate(_ensemble_values(spectra))
-    # snap round-off dust at the spectral edges back into range
-    lo, hi = DENSITY_SUPPORT
-    values[(values < lo) & (values >= lo - _EDGE_SNAP)] = lo
-    values[(values > hi) & (values <= hi + _EDGE_SNAP)] = hi
-    return _pooled_histogram(values, bins, DENSITY_SUPPORT)
+
+    def snapped():
+        lo, hi = DENSITY_SUPPORT
+        for block in _blocks(spectra):
+            values = np.concatenate([s.values for s in block])
+            # snap round-off dust at the spectral edges back into range
+            values[(values < lo) & (values >= lo - _EDGE_SNAP)] = lo
+            values[(values > hi) & (values <= hi + _EDGE_SNAP)] = hi
+            yield values
+
+    return _histogram(snapped(), bins, DENSITY_SUPPORT)
 
 
 def spacing_distribution(
@@ -113,7 +115,7 @@ def spacing_distribution(
 ) -> HistogramDensity:
     """Histogram of :func:`pooled_bulk_spacings`, area-normalized."""
     _exact_int(bins, "bins", 1)
-    return _pooled_histogram(pooled_bulk_spacings(spectra, bulk_fraction), bins, SPACING_SUPPORT)
+    return _histogram(_spacing_blocks(spectra, bulk_fraction), bins, SPACING_SUPPORT)
 
 
 def pooled_bulk_spacings(
@@ -121,8 +123,19 @@ def pooled_bulk_spacings(
 ) -> np.ndarray:
     """Consecutive spacings over the central ``bulk_fraction`` of each
     spectrum, scaled per spectrum to mean one, concatenated."""
+    blocks = list(_spacing_blocks(spectra, bulk_fraction))
+    if not blocks:
+        raise ValueError("empty ensemble")
+    return np.concatenate(blocks)
+
+
+def _spacing_blocks(spectra: Iterable[Spectrum], bulk_fraction: float) -> Iterator[np.ndarray]:
+    """The pooled spacings of one block of spectra at a time, the fraction checked first."""
     _bulk_fraction(bulk_fraction)
-    return np.concatenate([_bulk_spacings(v, bulk_fraction) for v in _ensemble_values(spectra)])
+    return (
+        np.concatenate([_bulk_spacings(s.values, bulk_fraction) for s in block])
+        for block in _blocks(spectra)
+    )
 
 
 def _bulk_fraction(value, name: str = "bulk_fraction") -> float:
@@ -151,11 +164,15 @@ def _bulk_spacings(values: np.ndarray, bulk_fraction: float) -> np.ndarray:
 
 def mean_jth_spacing(spectra: Iterable[Spectrum]) -> np.ndarray:
     """Ensemble mean of the j-th raw spacing, j = 1..2n-1 (unscaled)."""
-    values = _ensemble_values(spectra)
-    sizes = {v.size for v in values}
-    if len(sizes) != 1:
-        raise ValueError(f"spectra of mixed lengths: {sorted(sizes)}")
-    return np.diff(np.stack(values), axis=1).mean(axis=0)
+    # from zero, map by map, as numpy's axis-0 mean adds rows unless a map has one spacing
+    total = maps = 0
+    for maps, v in enumerate((s.values for s in spectra), start=1):
+        if maps > 1 and v.size != size:
+            raise ValueError(f"spectra of mixed lengths: {sorted((size, v.size))}")
+        size, total = v.size, total + (v[1:] - v[:-1])  # np.diff's bytes, not its call cost
+    if not maps:
+        raise ValueError("empty ensemble")
+    return total / maps
 
 
 def ks_distance(samples: Sequence[float], cdf: Callable) -> float:

@@ -11,7 +11,8 @@ from a dense symmetric eigensolve of the whole matrix, bipartiteness
 from a breadth-first 2-coloring that assumes nothing about the graph,
 the adjacency matrix one edge at a time, closed walks from powers of
 that matrix in Python integers, the mean gap ratio <r> of one spectrum
-from its raw bulk spacings, and genus-filtered
+from its raw bulk spacings, the pooled statistics from every spectrum
+held at once (one concatenation, one stacked matrix), and genus-filtered
 rejection from single draws, one ``sample_uniform_gluing`` and one
 reverse-orientation genus at a time.  Conjugation of the standard matching
 by a permutation is the definition, label by label in Python, and the
@@ -187,6 +188,38 @@ def mean_gap_ratio(values) -> float:
     drop = int(np.floor(values.size * (1.0 - 0.8) / 2.0))  # stats' default, rounded as it rounds
     s = np.diff(values[drop : values.size - drop])
     return float(np.mean(np.minimum(s[:-1], s[1:]) / np.maximum(s[:-1], s[1:])))
+
+
+def histogram_by_concatenation(values, bins: int, support) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, densities) of one area-normalized ``np.histogram`` of every value at once."""
+    counts, edges = np.histogram(np.concatenate(values), bins=bins, range=support)
+    return edges, counts / (counts.sum() * np.diff(edges))
+
+
+def density_by_concatenation(spectra, bins: int, snap: float = 1e-9):
+    """The pooled eigenvalue histogram with every spectrum held at once: the
+    values concatenated, those within ``snap`` outside [-3, 3] moved onto
+    its edge, then one histogram."""
+    values = np.concatenate([s.values for s in spectra])
+    values[(values < -3.0) & (values >= -3.0 - snap)] = -3.0
+    values[(values > 3.0) & (values <= 3.0 + snap)] = 3.0
+    return histogram_by_concatenation([values], bins, (-3.0, 3.0))
+
+
+def bulk_spacings_by_concatenation(spectra, bulk_fraction: float) -> np.ndarray:
+    """Each spectrum's raw spacings over its central window, divided by
+    their mean, all concatenated."""
+    parts = []
+    for s in spectra:
+        drop = int(np.floor(s.values.size * (1.0 - bulk_fraction) / 2.0))
+        raw = np.diff(s.values[drop : s.values.size - drop])
+        parts.append(raw / raw.mean())
+    return np.concatenate(parts)
+
+
+def mean_jth_by_stacking(spectra) -> np.ndarray:
+    """The mean j-th spacing from every spectrum stacked as one matrix."""
+    return np.diff(np.stack([s.values for s in spectra]), axis=1).mean(axis=0)
 
 
 def adjacency_by_edges(partner) -> np.ndarray:

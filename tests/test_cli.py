@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -613,10 +614,11 @@ def test_record_commands_keep_no_record(command, tmp_path):
     assert peak <= 300 * 4862
 
 
-def _traced_peak_on_nc9(command, tmp_path):
-    """tracemalloc's peak while ``command`` reads the 4,862 non-crossing gluings with n = 9."""
-    ens = tmp_path / "nc9.jsonl"
-    assert run("enumerate", "--kind", "ncpp", "--n", 9, "--out", ens) == 0
+def _traced_peak_on_ncpp(command, tmp_path, n=9):
+    """tracemalloc's peak while ``command`` reads the non-crossing gluings with
+    ``n`` edges (4,862 of them for n = 9); the file is written just before."""
+    ens = tmp_path / f"nc{n}.jsonl"
+    assert run("enumerate", "--kind", "ncpp", "--n", n, "--out", ens) == 0
     tracemalloc.start()
     try:
         assert run(command, ens, "--out", tmp_path / "out.csv") == 0
@@ -627,13 +629,37 @@ def _traced_peak_on_nc9(command, tmp_path):
 
 def test_genus_keeps_its_rows_as_text(tmp_path):
     # a row of genus as ASCII text holds about 8 bytes, a (sample_index, genus) tuple 100
-    assert _traced_peak_on_nc9("genus", tmp_path) <= 60 * 4862
+    assert _traced_peak_on_ncpp("genus", tmp_path) <= 60 * 4862
 
 
 @pytest.mark.parametrize("command", ["density", "spacings", "meanjth"])
 def test_statistic_commands_keep_no_record(command, tmp_path):
-    # the statistics keep each map's 18 eigenvalues, about 300 bytes, and
-    # their pooled arrays, where a parsed record would add 800
+    # the statistics keep running totals and one block of 256 spectra, where
+    # a parsed record kept per map would add 800 bytes
     from onefacemaps import spectra, stats  # the command's imports, kept out of the trace
 
-    assert _traced_peak_on_nc9(command, tmp_path) <= 800 * 4862
+    assert _traced_peak_on_ncpp(command, tmp_path) <= 800 * 4862
+
+
+@pytest.mark.parametrize("command", ["density", "spacings", "meanjth", "walks"])
+def test_statistic_commands_hold_no_spectrum(command, tmp_path):
+    # running totals, one block of spectra and the output text: the peak stays
+    # below 1.5 MB from the 4,862 records of n = 9 to the 16,796 of n = 10, where
+    # keeping each map's eigenvalues or walks row until the end took 4.7 to 10.6 MB
+    from onefacemaps import spectra, stats  # the command's imports, kept out of the trace
+
+    for n in (9, 10):
+        assert _traced_peak_on_ncpp(command, tmp_path, n) <= 1.5e6, n
+
+
+def test_tables_go_out_through_the_text_handle(tmp_path, monkeypatch):
+    # the 4,862 walks rows of n = 9 are about 180 KB of text, several 64 KiB
+    # slices, and a StringIO standing in for stdout takes them as str
+    ens, out = tmp_path / "nc9.jsonl", tmp_path / "walks.csv"
+    assert run("enumerate", "--kind", "ncpp", "--n", 9, "--out", ens) == 0
+    assert run("walks", ens, "--out", out) == 0
+    table = out.read_text(encoding="ascii")
+    assert len(table) > 2 * 2**16
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert run("walks", ens) == 0
+    assert sys.stdout.getvalue() == table

@@ -27,7 +27,9 @@ from onefacemaps import (
     sample_ncpp,
     sample_uniform_gluing,
     spacing_distribution,
+    spectrum,
 )
+from onefacemaps.counting import enumerate_ncpp
 
 
 def _ladder(values) -> Spectrum:
@@ -230,6 +232,46 @@ def test_mean_jth_spacing_is_nonnegative_and_sized():
 def test_mean_jth_spacing_mixed_sizes():
     with pytest.raises(ValueError, match=r"spectra of mixed lengths: \[3, 4\]"):
         mean_jth_spacing([_ladder([0, 1, 2]), _ladder([0, 1, 2, 3])])
+    # three lengths: refused at the first that differs, naming those two, so
+    # neither the third length nor any later spectrum is drawn
+    drawn = []
+
+    def spectra():
+        for size in (5, 5, 4, 6, 5):
+            drawn.append(size)
+            yield _ladder(np.arange(size))
+
+    with pytest.raises(ValueError, match=r"^spectra of mixed lengths: \[4, 5\]$"):
+        mean_jth_spacing(spectra())
+    assert drawn == [5, 5, 4]
+
+
+def test_statistics_fold_blocks_like_their_materialising_oracles():
+    # 429 non-crossing and 200 uniform n = 7 maps make three blocks of 256;
+    # one hand-built spectrum sits 5e-11 outside either edge, so the fold
+    # snaps within a block what the oracle snaps in the whole pool
+    gen = RngStream(61).generator()
+    spectra = [spectrum(g) for g in enumerate_ncpp(7)]
+    spectra += [spectrum(sample_uniform_gluing(7, gen)) for _ in range(200)]
+    edge = np.linspace(-3.0, 3.0, 14)
+    edge[0], edge[-1] = -3.0 - 5e-11, 3.0 + 5e-11
+    spectra.insert(300, Spectrum(values=edge))
+    assert len(spectra) > 2 * 256
+    for bins in (100, 37):
+        hist = empirical_density(iter(spectra), bins)
+        edges, densities = brute.density_by_concatenation(spectra, bins)
+        assert np.array_equal(hist.bin_edges, edges)
+        assert np.array_equal(hist.densities, densities)
+        # the edge spectrum counts only because it is snapped
+        assert not np.array_equal(brute.density_by_concatenation(spectra, bins, snap=0.0)[1], densities)
+        for fraction in (0.8, 0.5, 1.0):
+            pooled = brute.bulk_spacings_by_concatenation(spectra, fraction)
+            assert np.array_equal(pooled_bulk_spacings(iter(spectra), fraction), pooled)
+            hist = spacing_distribution(iter(spectra), fraction, bins)
+            edges, densities = brute.histogram_by_concatenation([pooled], bins, (0.0, 4.0))
+            assert np.array_equal(hist.bin_edges, edges)
+            assert np.array_equal(hist.densities, densities)
+    assert np.array_equal(mean_jth_spacing(iter(spectra)), brute.mean_jth_by_stacking(spectra))
 
 
 def test_ks_distance_point_mass_vs_exponential():
