@@ -1,16 +1,22 @@
 """Command-line surface: reproducible ensembles and figure-ready CSVs.
 
 Subcommands: generate, count, table, spectrum, density, spacings, meanjth,
-genus, degrees, walks, enumerate.  Exit codes: 0 success, 2 validation
-error (an ensemble file with no records is one), 3 sampling budget
-exhausted, 4 I/O error, 5 eigensolver failure.  A reader that closes
-standard output early (``| head``) ends the command quietly with exit 0.
+genus, degrees, walks, enumerate.  Every command returns its output as
+pieces of text, and ``main`` alone writes them and fails.  ``_write`` opens
+``--out``, or stdout, once the first piece exists, so a command that fails
+before it leaves an existing file as it was.  Exit codes: 0 success, 2
+validation error (an ensemble file with no records is one), 3 sampling
+budget exhausted, 4 I/O error (a standard output already closed when the
+command starts is one, unless it writes to ``--out``), 5 eigensolver
+failure.  A reader that closes standard output early (``| head``) ends the
+command quietly with exit 0.
 
 The array modules (``samplers``, ``spectra``, ``stats``) are imported by
 the commands that use them, so ``enumerate``, ``count``, ``table``,
-``genus`` and ``degrees`` run without importing numpy.  Every command that
-reads an ensemble but ``spectrum`` parses it as it goes and keeps only
-running totals (``stats``) or its output text (``_write_table``).
+``genus`` and ``degrees`` run without importing numpy.  ``generate`` and
+``enumerate`` write each map as it is drawn and keep none.  Every command
+that reads an ensemble but ``spectrum`` parses it as it goes and keeps
+only running totals (``stats``) or its output text (``_table``).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import counting, topology
 from .errors import BudgetExhaustedError, NoConvergenceError
-from .mapcore import _SEED_MAX, EnsembleRecord, Gluing, _blocks, _exact_int, _records, write_records
+from .mapcore import _SEED_MAX, EnsembleRecord, Gluing, _blocks, _exact_int, _record_line, _records
 
 if TYPE_CHECKING:
     from .spectra import Spectrum
@@ -39,29 +45,32 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-@contextlib.contextmanager
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
+def _write(path: str | None, text: Iterable[str]) -> None:
+    """Write the pieces of ``text`` to the file at ``path``, or to stdout where
+    ``path`` is None or ``-``.  The output opens once the first piece exists, so
+    a command that fails before it leaves an existing file as it was."""
+    text = iter(text)
+    first = next(text, "")
+    with contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(
+        path, "w", encoding="utf-8", newline="\n"
+    ) as fh:
+        fh.write(first)
+        fh.writelines(text)
+        fh.flush()  # a closed stdout surfaces here, not at interpreter exit
 
 
-def _write_ensemble(path: str | None, gluings: Iterable[Gluing], seed: int) -> None:
-    records = (
-        EnsembleRecord(gluing=g, genus=topology.genus(g), seed=seed, sample_index=i)
-        for i, g in enumerate(gluings)
-    )
-    with _open_out(path) as fh:
-        write_records(fh, records)
+def _record_lines(gluings: Iterable[Gluing], seed: int) -> Iterator[str]:
+    """Each gluing as an ensemble record line, drawn or enumerated as it goes out."""
+    for i, g in enumerate(gluings):
+        rec = EnsembleRecord(gluing=g, genus=topology.genus(g), seed=seed, sample_index=i)
+        yield _record_line(rec) + "\n"
 
 
 def _ensemble(path: str) -> Iterator[EnsembleRecord]:
     """The records of the ensemble file at ``path``, parsed one line at a
     time, then a ValueError if there were none.  The commands keep only
-    totals or output text from it, and write once the whole file has
-    parsed, so a bad line still leaves the output empty."""
+    totals or output text from it, and their first text exists once the
+    whole file has parsed, so a bad line still leaves the output empty."""
     count = 0
     for count, rec in enumerate(_records(path), start=1):
         yield rec
@@ -76,19 +85,18 @@ def _spectra(records: Iterable[EnsembleRecord]) -> Iterator[Spectrum]:
     return (spectrum(rec.gluing) for block in _blocks(records) for rec in block)
 
 
-def _write_table(path: str | None, columns: tuple[str, ...], rows: Iterable[tuple]) -> None:
+def _table(columns: tuple[str, ...], rows: Iterable[tuple]) -> Iterator[str]:
     """Rows of ints and ``_fmt`` strings as CSV with a header.  The rows wait as ASCII text
     (a tuple or an io.StringIO write holds 64-100 B a row), then go out in 64 KiB str slices."""
     line = ",".join(["%s"] * len(columns)) + "\n"
     table = bytearray((line % columns).encode())
     for row in rows:
         table += (line % row).encode()
-    with _open_out(path) as fh:
-        for i in range(0, len(table), 1 << 16):
-            fh.write(table[i : i + (1 << 16)].decode("ascii"))
+    for i in range(0, len(table), 1 << 16):
+        yield table[i : i + (1 << 16)].decode("ascii")
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> Iterable[str]:
     from . import samplers
 
     _exact_int(args.samples, "--samples", 1)
@@ -110,52 +118,44 @@ def cmd_generate(args) -> int:
         raise ValueError(f"{flag} only applies to --sampler genus-filtered")
     else:
         draw = samplers.sample_uniform_gluing if args.sampler == "uniform" else samplers.sample_ncpp
-        gluings = [draw(args.n, samplers.RngStream(args.seed, i)) for i in range(args.samples)]
-    _write_ensemble(args.out, gluings, args.seed)
-    return EXIT_OK
+        gluings = (draw(args.n, samplers.RngStream(args.seed, i)) for i in range(args.samples))
+    return _record_lines(gluings, args.seed)
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> Iterable[str]:
     ncpp = args.kind == "ncpp"
     _exact_int(args.n, "--n", 1, counting.ENUMERATE_NCPP_MAX if ncpp else counting.ENUMERATE_ALL_MAX)
     stream = counting.enumerate_ncpp(args.n) if ncpp else counting.enumerate_all_gluings(args.n)
-    _write_ensemble(args.out, stream, 0)
-    return EXIT_OK
+    return _record_lines(stream, 0)
 
 
-def cmd_count(args) -> int:
-    print(counting.harer_zagier(args.g, args.n))
-    return EXIT_OK
+def cmd_count(args) -> Iterable[str]:
+    return [f"{counting.harer_zagier(args.g, args.n)}\n"]
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> Iterable[str]:
     dist = counting.genus_distribution(args.n)
     parts = [f"{g}:{count}" for g, count in enumerate(dist)]
     parts.append(f"total:{sum(dist)}")
-    print(" ".join(parts))
-    return EXIT_OK
+    return [" ".join(parts) + "\n"]
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> Iterable[str]:
     records = list(_ensemble(args.ensemble))  # it writes as it solves, so parse the file first
-    with _open_out(args.out) as fh:
-        for spectrum in _spectra(records):
-            fh.write(",".join(_fmt(v) for v in spectrum.values) + "\n")
-    return EXIT_OK
+    return (",".join(_fmt(v) for v in spectrum.values) + "\n" for spectrum in _spectra(records))
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> Iterable[str]:
     from . import stats
 
     bins = stats.DEFAULT_BINS if args.bins is None else _exact_int(args.bins, "--bins", 1)
     hist = stats.empirical_density(_spectra(_ensemble(args.ensemble)), bins=bins)
     mckay = stats.mckay_density(hist.bin_centers)
     rows = (tuple(map(_fmt, row)) for row in zip(hist.bin_centers, hist.densities, mckay))
-    _write_table(args.out, ("bin_center", "density", "mckay"), rows)
-    return EXIT_OK
+    return _table(("bin_center", "density", "mckay"), rows)
 
 
-def cmd_spacings(args) -> int:
+def cmd_spacings(args) -> Iterable[str]:
     from . import stats
 
     bins = stats.DEFAULT_BINS if args.bins is None else _exact_int(args.bins, "--bins", 1)
@@ -167,44 +167,39 @@ def cmd_spacings(args) -> int:
     surmise = stats.goe_surmise_density(hist.bin_centers)
     expo = stats.exponential_density(hist.bin_centers)
     rows = (tuple(map(_fmt, row)) for row in zip(hist.bin_centers, hist.densities, surmise, expo))
-    _write_table(args.out, ("bin_center", "density", "goe_surmise", "exponential"), rows)
-    return EXIT_OK
+    return _table(("bin_center", "density", "goe_surmise", "exponential"), rows)
 
 
-def cmd_meanjth(args) -> int:
+def cmd_meanjth(args) -> Iterable[str]:
     from . import stats
 
     means = stats.mean_jth_spacing(_spectra(_ensemble(args.ensemble)))
     rows = ((j, _fmt(value)) for j, value in enumerate(means, start=1))
-    _write_table(args.out, ("j", "mean_spacing"), rows)
-    return EXIT_OK
+    return _table(("j", "mean_spacing"), rows)
 
 
-def cmd_genus(args) -> int:
+def cmd_genus(args) -> Iterable[str]:
     rows = ((rec.sample_index, rec.genus) for rec in _ensemble(args.ensemble))
-    _write_table(args.out, ("sample_index", "genus"), rows)
-    return EXIT_OK
+    return _table(("sample_index", "genus"), rows)
 
 
-def cmd_degrees(args) -> int:
+def cmd_degrees(args) -> Iterable[str]:
     totals: dict[int, int] = {}
     for records, rec in enumerate(_ensemble(args.ensemble), start=1):
         for degree, count in topology.degree_distribution(rec.gluing).items():
             totals[degree] = totals.get(degree, 0) + count
     rows = ((degree, _fmt(totals[degree] / records)) for degree in sorted(totals))
-    _write_table(args.out, ("degree", "mean_count"), rows)
-    return EXIT_OK
+    return _table(("degree", "mean_count"), rows)
 
 
-def cmd_walks(args) -> int:
+def cmd_walks(args) -> Iterable[str]:
     rmax = _exact_int(args.rmax, "--rmax", 1, topology.MAX_WALK_LENGTH)
     rows = (
         (rec.sample_index, *topology.closed_walk_counts(rec.gluing, rmax))
         for rec in _ensemble(args.ensemble)
     )
     columns = ("sample_index", *(f"w{r}" for r in range(1, rmax + 1)))
-    _write_table(args.out, columns, rows)
-    return EXIT_OK
+    return _table(columns, rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,30 +268,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each failure that is not the reader's closing of stdout
+_EXIT_CODES = {
+    BudgetExhaustedError: EXIT_BUDGET,
+    NoConvergenceError: EXIT_SOLVER,
+    ValueError: EXIT_VALIDATION,  # every validation error of the package is one
+    OSError: EXIT_IO,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed stdout surfaces here, not at interpreter exit
-        return code
+        if sys.stdout is None and out in (None, "-"):  # fd 1 was closed when the process started
+            raise OSError("standard output is closed")
+        _write(out, args.func(args))
+        return EXIT_OK
     except BrokenPipeError:
         # The reader has gone; the interpreter's exit flush of the unwritten
         # rest of stdout would raise again, so let it go to the null device.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except BudgetExhaustedError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except NoConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except ValueError as exc:  # every validation error of the package is one
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -258,6 +258,40 @@ def test_closed_stdout_ends_quietly(tmp_path):
     assert code == 0
 
 
+# runs onefacemaps.cli with the arguments after -c, with file descriptor 1 closed
+_STDOUT_CLOSED = ("import os, sys; os.close(1); "
+                  "os.execv(sys.executable, [sys.executable, '-m', 'onefacemaps.cli', *sys.argv[1:]])")
+
+
+def test_stdout_closed_at_start(tmp_path):
+    ens, out = tmp_path / "ens.jsonl", tmp_path / "f.jsonl"
+    ens.write_text(_N2)
+    for argv, code, err in [
+        (["table", "5"], 4, b"error: standard output is closed\n"),
+        (["genus", str(ens)], 4, b"error: standard output is closed\n"),
+        (["generate", "--n", "3", "--samples", "2", "--out", str(out)], 0, b""),  # needs no stdout
+    ]:
+        with _fresh_interpreter("-c", _STDOUT_CLOSED, *argv, stderr=subprocess.PIPE) as proc:
+            assert proc.stderr.read() == err, argv
+            assert proc.wait(timeout=120) == code, argv
+    assert len(read_records(out)) == 2
+
+
+def test_generate_keeps_no_drawn_map(tmp_path):
+    # 20,000 uniform maps with n = 2: kept until the last one was drawn, each
+    # map held about 520 bytes; written as it is drawn, none is held
+    out = tmp_path / "ens.jsonl"
+    assert run("generate", "--n", 2, "--samples", 1, "--out", out) == 0  # imports, kept out of the trace
+    tracemalloc.start()
+    try:
+        assert run("generate", "--n", 2, "--samples", 20_000, "--seed", 3, "--out", out) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50 * 20_000
+    assert out.read_bytes().count(b"\n") == 20_000
+
+
 def test_bipartite_spectra_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch):
     from onefacemaps import spectra
 
@@ -514,6 +548,10 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
         # each draw keeps at most one map, so this is refused before the first draw
         (["generate", "--sampler", "genus-filtered", "--n", 4, "--samples", 10_001, "--genus", 1],
          None, 3, "--budget 10000 cannot keep --samples 10001 maps: a draw keeps at most one map"),
+        # an input or an output that cannot be opened
+        (["spectrum", "{ens}"], None, 4, "[Errno 2] No such file or directory: '{ens}'"),
+        (["genus", "{ens}", "--out", "{ens}.missing/x.csv"], _N2, 4,
+         "[Errno 2] No such file or directory: '{ens}.missing/x.csv'"),
     ],
     ids=["samples0", "n0", "budget0", "seed-negative", "seed-big", "no-genus", "stray-genus",
          "stray-budget", "count", "table", "enumerate", "walks", "spacings", "meanjth-mixed", "empty",
@@ -522,7 +560,7 @@ _NEGATIVE_SEED = _N2.replace('"seed":0', '"seed":-5')
          "meanjth-late-fault", "spectrum-late-fault",
          "density-bins0", "spacings-bins-negative",
          "genus99", "rmax0", "walks-empty", "spacings-empty", "enumerate-n0", "enumerate-ncpp-n15",
-         "budget", "budget-below-samples"],
+         "budget", "budget-below-samples", "spectrum-missing-file", "genus-out-missing-dir"],
 )
 def test_error_contract(argv, ensemble, code, err, tmp_path, capsys):
     ens = tmp_path / "ens.jsonl"
@@ -530,7 +568,7 @@ def test_error_contract(argv, ensemble, code, err, tmp_path, capsys):
         ens.write_bytes(ensemble if isinstance(ensemble, bytes) else ensemble.encode())
     assert run(*(str(a).format(ens=ens) for a in argv)) == code
     captured = capsys.readouterr()
-    assert captured.err == f"error: {err}\n"
+    assert captured.err == f"error: {err.format(ens=ens)}\n"
     assert captured.out == ""
 
 
